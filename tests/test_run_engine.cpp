@@ -78,12 +78,9 @@ TEST(RunEngine, OneWorkerParksManyRunsAndResumesThemAll) {
     ASSERT_TRUE(engine.submit(std::make_shared<RunContinuation>()));
   }
   // With a single worker every run must reach its park: wait for that.
-  // Sleep with the lock released: the worker takes it to record each park.
   for (int i = 0; i < 5000; ++i) {
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      if (parked.size() == kRuns) break;
-    }
+    std::lock_guard<std::mutex> lock(mutex);
+    if (parked.size() == kRuns) break;
     std::this_thread::sleep_for(1ms);
   }
   {
@@ -118,10 +115,8 @@ TEST(RunEngine, ShutdownRejectsNewSubmissionsButDrainsLiveRuns) {
   });
   ASSERT_TRUE(engine.submit(std::make_shared<RunContinuation>()));
   for (int i = 0; i < 5000; ++i) {
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      if (parked) break;
-    }
+    std::lock_guard<std::mutex> lock(mutex);
+    if (parked) break;
     std::this_thread::sleep_for(1ms);
   }
   ASSERT_NE(parked, nullptr);
