@@ -47,9 +47,9 @@ double windowed_quantile(const std::vector<double>& values, std::size_t window, 
 /// Samples per window for windowed_quantile: a p99 then has ten samples
 /// beyond it in every window.
 inline constexpr std::size_t kLatencyWindow = 1000;
-/// Extra set-ups per run beside the measured ones, so setup_s is a median
-/// over enough samples to be steady.
-inline constexpr std::size_t kExtraSetups = 16;
+/// Timed wall of the extra set-ups per run beside the measured ones, so
+/// setup_s is a median over enough samples to be steady.
+inline constexpr double kSetupBudgetS = 0.5;
 
 // -- the benchmark's own spans -------------------------------------------------
 /// Spans the benchmark records around each public call it makes, kept in

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <string>
 
 #include "common/rng.hpp"
@@ -41,7 +40,7 @@ Inputs make_inputs(const InputSpec& spec, std::uint64_t seed) {
     for (std::size_t k = 0; k < spec.images_per_tenant; ++k) {
       circuit::BenchmarkFamily family = tenant.family;
       int width = tenant.width;
-      if (spec.varied_images && k > 0) {
+      if (k > 0) {
         family = families[static_cast<std::size_t>(
             image_rng.uniform_int(0, static_cast<std::int64_t>(families.size()) - 1))];
         width = static_cast<int>(image_rng.uniform_int(3, 8));
@@ -63,7 +62,7 @@ Inputs make_inputs(const InputSpec& spec, std::uint64_t seed) {
   std::vector<double> cdf(spec.images_per_tenant);
   double total = 0.0;
   for (std::size_t r = 0; r < cdf.size(); ++r) {
-    total += 1.0 / std::pow(static_cast<double>(r + 1), spec.zipf_s);
+    total += 1.0 / static_cast<double>(r + 1);
     cdf[r] = total;
   }
   std::vector<double> weights;
@@ -104,14 +103,18 @@ api::Result<std::vector<qon::workflow::ImageId>> deploy_images(api::QonductorCli
 }
 
 std::vector<double> time_setups(const qon::core::QonductorConfig& config, const Inputs& inputs,
-                                std::size_t count) {
+                                double budget_s) {
+  using Clock = std::chrono::steady_clock;
   std::vector<double> seconds;
-  for (std::size_t i = 0; i < count; ++i) {
-    const auto start = std::chrono::steady_clock::now();
+  double timed_s = 0.0;
+  const auto first = Clock::now();
+  while (timed_s < budget_s &&
+         std::chrono::duration<double>(Clock::now() - first).count() < 4.0 * budget_s) {
+    const auto start = Clock::now();
     api::QonductorClient client(config);
     const bool deployed = deploy_images(client, inputs).ok();
-    seconds.push_back(
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count());
+    seconds.push_back(std::chrono::duration<double>(Clock::now() - start).count());
+    timed_s += seconds.back();
     if (!deployed) break;  // the measured runs report the failure
   }
   return seconds;

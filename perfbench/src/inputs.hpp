@@ -47,13 +47,10 @@ struct Inputs {
 struct InputSpec {
   qon::campaign::ArrivalSpec arrivals;
   std::size_t count = 0;               ///< arrivals to generate
-  std::size_t images_per_tenant = 1;
   /// Images beyond the first per tenant vary family and width, so a large
-  /// image set has a spread of transpile costs.
-  bool varied_images = false;
-  /// Zipf exponent of image popularity within a tenant (rank r drawn with
-  /// weight 1/r^s); unused with one image per tenant.
-  double zipf_s = 1.0;
+  /// image set has a spread of transpile costs. Popularity within a tenant
+  /// is Zipf(1): rank r is drawn with weight 1/r.
+  std::size_t images_per_tenant = 1;
 };
 
 Inputs make_inputs(const InputSpec& spec, std::uint64_t seed);
@@ -62,11 +59,13 @@ Inputs make_inputs(const InputSpec& spec, std::uint64_t seed);
 qon::api::Result<std::vector<qon::workflow::ImageId>> deploy_images(
     qon::api::QonductorClient& client, const Inputs& inputs);
 
-/// Times `count` extra set-ups: each constructs a client from `config` and
-/// creates and deploys every image; the client is torn down untimed.
-/// Returns wall seconds per set-up.
+/// Times extra set-ups until their summed wall reaches `budget_s`: each
+/// constructs a client from `config` and creates and deploys every image;
+/// the client is torn down untimed. Stops early once the set-ups and
+/// teardowns together have taken four times the budget. Returns wall
+/// seconds per set-up.
 std::vector<double> time_setups(const qon::core::QonductorConfig& config, const Inputs& inputs,
-                                std::size_t count);
+                                double budget_s);
 
 /// The invoke request for one arrival.
 qon::api::InvokeRequest make_request(const Inputs& inputs, const Arrival& arrival,

@@ -1,5 +1,5 @@
 // The open-loop workload. One client thread sends requests on a fixed wall
-// schedule at a few fixed rates (below, near and above the knee), each rate
+// schedule at a few fixed rates (below, around and above the knee), each rate
 // against a fresh orchestrator with the serving defaults: two engine
 // workers, the 2 ms real-time linger, the admission gate on. Between sends
 // the same thread polls its outstanding runs with getRun and scrapes
@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <thread>
 
@@ -27,13 +28,24 @@ namespace core = qon::core;
 
 namespace {
 
-/// Offered rates, runs per wall second. The last is the overload rate; the
-/// others are the serving rates whose latencies the end-to-end metrics pool.
-constexpr double kRates[] = {1000.0, 2500.0, 5000.0, 16000.0};
+/// Offered rates, runs per wall second. The first kServingPhases lie well
+/// below the knee (11k-13k/s on a quiet 4-vCPU host): the pooled latencies and
+/// virtual outcomes come from them. The next ones step through the knee and
+/// place sustained_rate_per_s. The overload rate comes last, three times:
+/// the median of its settled runs over wall time is the saturation
+/// throughput, runs_per_s.
+constexpr double kRates[] = {1000.0,  2500.0,  5000.0,  7500.0, 10000.0,
+                             12500.0, 16000.0, 16000.0, 16000.0};
 constexpr std::size_t kPhases = sizeof(kRates) / sizeof(kRates[0]);
-constexpr std::size_t kKneePhase = kPhases - 2;  ///< highest serving rate
-/// A rate is sustained when control-plane p99 stays under this limit and
-/// the backlog does not grow while sending.
+constexpr std::size_t kServingPhases = 3;
+constexpr std::size_t kOverloadPhase = kPhases - 3;  ///< the first overload phase
+/// Shares of --seconds spent sending at the serving rates and at the rest.
+constexpr double kServingShare = 0.35;
+constexpr double kKneeShare = 0.5;
+/// The rate the per-layer table is traced at: the highest serving rate.
+constexpr std::size_t kLayerPhase = kServingPhases - 1;
+/// A rate is sustained when control-plane p99 stays under this limit. A
+/// backlog that grows through the send window shows up as p99 above it.
 constexpr double kP99LimitMs = 250.0;
 constexpr double kPollPeriodUs = 1000.0;
 constexpr double kScrapePeriodUs = 50000.0;
@@ -66,7 +78,6 @@ struct Phase {
   double send_window_s = 0.0;
   double wall_s = 0.0;  ///< send window plus drain
   double cpu_s = 0.0;   ///< process CPU minus the client thread's
-  bool backlog_grew = false;
   std::vector<double> invoke_us;
   std::vector<double> cp_latency_ms;
   std::vector<double> late_ms;
@@ -80,9 +91,8 @@ struct Phase {
   TraceTotals trace;
 
   double achieved_rate() const { return static_cast<double>(sent) / send_window_s; }
-  bool sustained() const {
-    return !backlog_grew && refused == 0 && quantile(cp_latency_ms, 0.99) <= kP99LimitMs;
-  }
+  double cp_p99_ms() const { return quantile(cp_latency_ms, 0.99); }
+  bool sustained() const { return refused == 0 && cp_p99_ms() <= kP99LimitMs; }
 };
 
 Phase run_phase(double rate, double window_s, const Inputs& inputs, bool traced,
@@ -169,8 +179,6 @@ Phase run_phase(double rate, double window_s, const Inputs& inputs, bool traced,
   const double start = now_us();
   double next_poll = start + kPollPeriodUs;
   double next_scrape = start + kScrapePeriodUs;
-  std::size_t outstanding_mid = 0;
-  double late_mid_ms = 0.0;
   std::size_t next = 0;
   while (next < total) {
     const double now = now_us();
@@ -192,10 +200,6 @@ Phase run_phase(double rate, double window_s, const Inputs& inputs, bool traced,
       phase.call_total_us += done - a0;
       ++next;
       ++phase.sent;
-      if (next == total / 2) {
-        outstanding_mid = outstanding.size();
-        late_mid_ms = phase.late_ms.back();
-      }
       if (!handle.ok()) {
         ++phase.refused;
         checker.fail("invoke refused: " + handle.status().to_string());
@@ -216,10 +220,6 @@ Phase run_phase(double rate, double window_s, const Inputs& inputs, bool traced,
     }
   }
   phase.send_window_s = since_us(start) * 1e-6;
-  // Growing backlog: clearly more runs outstanding, or the generator
-  // clearly later, at the end of sending than halfway through.
-  phase.backlog_grew = outstanding.size() > 2 * outstanding_mid + 200 ||
-                       (!phase.late_ms.empty() && phase.late_ms.back() > late_mid_ms + 10.0);
 
   const auto drain_deadline = now_us() + 60e6;
   while (!outstanding.empty() && now_us() < drain_deadline) {
@@ -245,6 +245,27 @@ Phase run_phase(double rate, double window_s, const Inputs& inputs, bool traced,
   return phase;
 }
 
+/// The achieved rate at which control-plane p99 reaches the limit. Rates are
+/// tried in order; the first one that is not sustained ends the search, and
+/// the crossing is interpolated on log p99 between it and the rate before
+/// it, so the figure moves smoothly with capacity rather than in grid
+/// steps. When every rate is sustained, the last one's achieved rate.
+double sustained_rate(const std::vector<Phase>& phases) {
+  double rate = 0.0;
+  for (std::size_t i = 0; i < phases.size() && i < kPhases; ++i) {
+    const Phase& p = phases[i];
+    if (p.sustained()) {
+      rate = p.achieved_rate();
+      continue;
+    }
+    if (i == 0 || p.refused > 0) return rate;
+    const double below = phases[i - 1].cp_p99_ms();
+    const double share = std::log(kP99LimitMs / below) / std::log(p.cp_p99_ms() / below);
+    return rate + share * (p.achieved_rate() - rate);
+  }
+  return rate;
+}
+
 }  // namespace
 
 WorkloadResult run_open_serving(const Options& options) {
@@ -252,9 +273,18 @@ WorkloadResult run_open_serving(const Options& options) {
   input_spec.arrivals.kind = qon::campaign::ArrivalKind::kDiurnal;
   input_spec.arrivals.rate_per_hour = kVirtualRatePerHour;
   input_spec.images_per_tenant = 1;
-  // Enough arrivals for the fastest rate's window.
-  const double window_s = std::max(0.5, 0.7 * options.seconds / static_cast<double>(kPhases));
-  input_spec.count = static_cast<std::size_t>(kRates[kPhases - 1] * window_s) + 1;
+  const double serving_window_s =
+      std::max(0.5, kServingShare * options.seconds / static_cast<double>(kServingPhases));
+  const double knee_window_s = std::max(
+      0.25, kKneeShare * options.seconds / static_cast<double>(kPhases - kServingPhases));
+  const auto window_s = [&](std::size_t phase) {
+    return phase < kServingPhases ? serving_window_s : knee_window_s;
+  };
+  // Enough arrivals for the longest phase.
+  for (std::size_t i = 0; i < kPhases; ++i) {
+    input_spec.count =
+        std::max(input_spec.count, static_cast<std::size_t>(kRates[i] * window_s(i)) + 1);
+  }
   const Inputs inputs = make_inputs(input_spec, options.seed);
 
   WorkloadResult result;
@@ -262,51 +292,54 @@ WorkloadResult run_open_serving(const Options& options) {
   SpanRecorder spans(options.trace);
   std::vector<Phase> phases;
   double serving_rss_mb = 0.0;
-  // A traced run measures every rate twice: untraced, then traced.
-  for (int pass = 0; pass < (options.trace ? 2 : 1) && checker.ok(); ++pass) {
-    for (std::size_t i = 0; i < kPhases && checker.ok(); ++i) {
-      // Spans are kept for the phase the per-layer table comes from.
-      SpanRecorder unrecorded(false);
-      const bool traced = pass == 1;
-      phases.push_back(run_phase(kRates[i], window_s, inputs, traced,
-                                 traced && i == kKneePhase ? spans : unrecorded, checker));
-      const Phase& p = phases.back();
-      // Peak RSS through the serving rates: the overload rate's backlog
-      // depends on how far the machine falls behind.
-      if (phases.size() == kKneePhase + 1) serving_rss_mb = peak_rss_mb();
-      std::printf(
-          "rate %6.0f/s%s: sent %zu in %.2f s (achieved %.0f/s), cp p50 %.2f ms p99 %.2f ms, "
-          "generator late p50 %.3f ms, backlog %s, %s\n",
-          p.rate, p.traced ? " (traced)" : "", p.sent, p.send_window_s, p.achieved_rate(),
-          quantile(p.cp_latency_ms, 0.5), quantile(p.cp_latency_ms, 0.99),
-          quantile(p.late_ms, 0.5), p.backlog_grew ? "grew" : "steady",
-          p.sustained() ? "sustained" : "not sustained");
-    }
+  // Every rate untraced; a traced run then plays the layer rate once more,
+  // traced, for the per-layer table.
+  const std::size_t runs = options.trace ? kPhases + 1 : kPhases;
+  for (std::size_t n = 0; n < runs && checker.ok(); ++n) {
+    const bool traced = n == kPhases;
+    SpanRecorder unrecorded(false);
+    const std::size_t i = traced ? kLayerPhase : n;
+    phases.push_back(
+        run_phase(kRates[i], window_s(i), inputs, traced, traced ? spans : unrecorded, checker));
+    const Phase& p = phases.back();
+    // Peak RSS through the serving rates: the backlog at higher rates
+    // depends on how far the machine falls behind.
+    if (phases.size() == kServingPhases) serving_rss_mb = peak_rss_mb();
+    std::printf(
+        "rate %6.0f/s%s: sent %zu in %.2f s (achieved %.0f/s), settled %.0f/s over %.2f s, "
+        "cp p50 %.2f ms p99 %.2f ms, generator late p50 %.3f ms, %s\n",
+        p.rate, p.traced ? " (traced)" : "", p.sent, p.send_window_s, p.achieved_rate(),
+        static_cast<double>(p.records.size()) / p.wall_s, p.wall_s,
+        quantile(p.cp_latency_ms, 0.5), p.cp_p99_ms(), quantile(p.late_ms, 0.5),
+        p.sustained() ? "sustained" : "not sustained");
   }
 
   EndToEnd& e = result.e2e;
   std::vector<double> invoke_us, cp_ms, setup;
   std::vector<RunRecord> records;
-  double cpu = 0.0, wall = 0.0, settled = 0.0;
+  double cpu = 0.0, settled = 0.0;
   for (std::size_t i = 0; i < phases.size() && i < kPhases; ++i) {
     const Phase& p = phases[i];
-    if (i < kPhases - 1) {
+    if (i < kServingPhases) {
       invoke_us.insert(invoke_us.end(), p.invoke_us.begin(), p.invoke_us.end());
       cp_ms.insert(cp_ms.end(), p.cp_latency_ms.begin(), p.cp_latency_ms.end());
       records.insert(records.end(), p.records.begin(), p.records.end());
     }
     setup.push_back(p.setup_s);
     cpu += p.cpu_s;
-    wall += p.wall_s;
     settled += static_cast<double>(p.records.size());
-    if (p.sustained()) e.sustained_rate_per_s = std::max(e.sustained_rate_per_s, p.achieved_rate());
     result.attempted += p.sent;
     result.failed += p.sent - p.completed;
   }
-  e.runs_per_s = settled / wall;
+  e.sustained_rate_per_s = sustained_rate(phases);
+  std::vector<double> saturation;
+  for (std::size_t i = kOverloadPhase; i < phases.size() && i < kPhases; ++i) {
+    saturation.push_back(static_cast<double>(phases[i].records.size()) / phases[i].wall_s);
+  }
+  e.runs_per_s = median(saturation);
   e.cpu_ms_per_krun = cpu * 1e3 / (settled / 1000.0);
   e.invoke_p50_us = windowed_quantile(invoke_us, kLatencyWindow, 0.50);
-  const std::vector<double> extra = time_setups(make_config(false), inputs, kExtraSetups);
+  const std::vector<double> extra = time_setups(make_config(false), inputs, kSetupBudgetS);
   setup.insert(setup.end(), extra.begin(), extra.end());
   e.setup_s = median(setup);
   e.peak_rss_mb = serving_rss_mb;
@@ -321,9 +354,9 @@ WorkloadResult run_open_serving(const Options& options) {
                                static_cast<double>(result.attempted)
                          : 0.0;
 
-  if (options.trace && phases.size() == 2 * kPhases) {
-    const Phase& untraced = phases[kKneePhase];
-    const Phase& traced = phases[kPhases + kKneePhase];
+  if (options.trace && phases.size() == kPhases + 1) {
+    const Phase& untraced = phases[kLayerPhase];
+    const Phase& traced = phases[kPhases];
     Layers l = traced.layers;
     const double runs = static_cast<double>(std::max<std::size_t>(traced.trace.runs, 1));
     l.engine_step_self_us_per_run = traced.trace.engine_step_self_us / runs;
