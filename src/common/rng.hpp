@@ -29,10 +29,23 @@ class Rng {
   static constexpr result_type max() { return ~0ULL; }
 
   /// Next raw 64-bit value.
-  std::uint64_t operator()();
+  std::uint64_t operator()() {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1).
-  double uniform();
+  double uniform() {
+    // 53 random mantissa bits -> double in [0, 1).
+    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi);
@@ -57,7 +70,7 @@ class Rng {
   std::uint64_t poisson(double mean);
 
   /// Bernoulli trial with probability p of returning true.
-  bool bernoulli(double p);
+  bool bernoulli(double p) { return uniform() < p; }
 
   /// Samples an index in [0, weights.size()) proportionally to weights.
   /// Requires at least one strictly positive weight.
@@ -77,6 +90,10 @@ class Rng {
   Rng split();
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4];
   bool has_cached_normal_ = false;
   double cached_normal_ = 0.0;

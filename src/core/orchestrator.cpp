@@ -1308,6 +1308,12 @@ api::Result<TaskResult> Qonductor::run_quantum_immediate(
   // Effective per-run QoS: fidelity_weight was resolved at invoke().
   const api::JobPreferences& prefs = state->preferences;
   const std::shared_ptr<const QuantumTaskPrep> prep = prepare_quantum_task(task);
+  // A root node's ready time is 0: the submission instant bounds the start.
+  double submitted_at = 0.0;
+  {
+    MutexLock lock(state->mutex);
+    submitted_at = state->submitted_at;
+  }
 
   // A single-job scheduling cycle inline, with queue waits measured
   // relative to the task's own ready time. Reservation windows expire
@@ -1351,7 +1357,7 @@ api::Result<TaskResult> Qonductor::run_quantum_immediate(
   }
   return execute_quantum_locked(task, *prep,
                                 static_cast<std::size_t>(decision.assignment[0]),
-                                ready_at, 0.0);
+                                ready_at, submitted_at);
 }
 
 api::Result<TaskResult> Qonductor::run_classical_task(const workflow::HybridTask& task,

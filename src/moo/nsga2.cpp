@@ -16,83 +16,129 @@ struct Individual {
   double crowding = 0.0;
 };
 
+// Buffers reused across every ranking of one run, so a generation allocates
+// nothing once they have grown to the merged population size.
+struct RankScratch {
+  std::vector<const double*> rows;  ///< objective row of each individual
+  std::vector<std::size_t> order;
+  std::vector<std::size_t> rank;
+  std::vector<std::vector<std::size_t>> fronts;
+  std::vector<double> value;  ///< one objective over the current front
+  std::vector<double> distance;
+};
+
+bool lexicographic_less(const double* a, const double* b, std::size_t m) {
+  for (std::size_t k = 0; k < m; ++k) {
+    if (a[k] < b[k]) return true;
+    if (b[k] < a[k]) return false;
+  }
+  return false;
+}
+
+// Efficient Non-dominated Sort, binary-search variant (Zhang et al. 2015).
+// Visiting rows in lexicographic order places every dominator of a row
+// before the row itself. A row placed in front k+1 is dominated by some
+// member of front k, so "front k holds a dominator of x" is monotone in k
+// and a binary search finds the first front without one. Fills `s.rank`.
+void ens_ranks(std::size_t m, RankScratch& s) {
+  const std::size_t n = s.rows.size();
+  s.rank.resize(n);
+  s.order.resize(n);
+  for (std::size_t i = 0; i < n; ++i) s.order[i] = i;
+  std::sort(s.order.begin(), s.order.end(), [&s, m](std::size_t a, std::size_t b) {
+    return lexicographic_less(s.rows[a], s.rows[b], m);
+  });
+  std::size_t num_fronts = 0;
+  for (const std::size_t x : s.order) {
+    const double* row = s.rows[x];
+    auto dominated_in = [&](const std::vector<std::size_t>& front) {
+      // The latest member sits closest to x in lexicographic order, so it
+      // is the likeliest dominator: scan backwards.
+      for (auto it = front.rbegin(); it != front.rend(); ++it) {
+        if (dominates(s.rows[*it], row, m)) return true;
+      }
+      return false;
+    };
+    std::size_t lo = 0;
+    std::size_t hi = num_fronts;
+    while (lo < hi) {
+      const std::size_t mid = lo + (hi - lo) / 2;
+      if (dominated_in(s.fronts[mid])) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    if (lo == num_fronts) {
+      if (s.fronts.size() == num_fronts) s.fronts.emplace_back();
+      s.fronts[num_fronts++].clear();
+    }
+    s.fronts[lo].push_back(x);
+    s.rank[x] = lo;
+  }
+}
+
+// Crowding distance of one front (indices into `s.rows`) into
+// `s.distance`. Ties in an objective keep std::sort's order over the
+// front's index order, so the values depend on that order.
+void crowding_into(std::size_t m_count, const std::vector<std::size_t>& front,
+                   RankScratch& s) {
+  const double inf = std::numeric_limits<double>::infinity();
+  s.distance.assign(front.size(), 0.0);
+  if (front.empty()) return;
+  auto& order = s.order;
+  auto& value = s.value;
+  order.resize(front.size());
+  value.resize(front.size());
+  for (std::size_t m = 0; m < m_count; ++m) {
+    for (std::size_t i = 0; i < front.size(); ++i) {
+      order[i] = i;
+      value[i] = s.rows[front[i]][m];
+    }
+    std::sort(order.begin(), order.end(),
+              [&value](std::size_t a, std::size_t b) { return value[a] < value[b]; });
+    s.distance[order.front()] = inf;
+    s.distance[order.back()] = inf;
+    const double span = value[order.back()] - value[order.front()];
+    if (span <= 0.0) continue;
+    for (std::size_t i = 1; i + 1 < order.size(); ++i) {
+      s.distance[order[i]] += (value[order[i + 1]] - value[order[i - 1]]) / span;
+    }
+  }
+}
+
+void point_rows(const std::vector<std::vector<double>>& objectives, RankScratch& s) {
+  s.rows.resize(objectives.size());
+  for (std::size_t i = 0; i < objectives.size(); ++i) s.rows[i] = objectives[i].data();
+}
+
 }  // namespace
 
 std::vector<std::size_t> fast_non_dominated_sort(
     const std::vector<std::vector<double>>& objectives) {
-  const std::size_t n = objectives.size();
-  std::vector<std::vector<std::size_t>> dominated_by(n);
-  std::vector<std::size_t> domination_count(n, 0);
-  std::vector<std::size_t> rank(n, 0);
-
-  for (std::size_t p = 0; p < n; ++p) {
-    for (std::size_t q = 0; q < n; ++q) {
-      if (p == q) continue;
-      if (dominates(objectives[p], objectives[q])) {
-        dominated_by[p].push_back(q);
-      } else if (dominates(objectives[q], objectives[p])) {
-        ++domination_count[p];
-      }
-    }
-  }
-  std::vector<std::size_t> current;
-  for (std::size_t p = 0; p < n; ++p) {
-    if (domination_count[p] == 0) {
-      rank[p] = 0;
-      current.push_back(p);
-    }
-  }
-  std::size_t level = 0;
-  while (!current.empty()) {
-    std::vector<std::size_t> next;
-    for (std::size_t p : current) {
-      for (std::size_t q : dominated_by[p]) {
-        if (--domination_count[q] == 0) {
-          rank[q] = level + 1;
-          next.push_back(q);
-        }
-      }
-    }
-    ++level;
-    current = std::move(next);
-  }
-  return rank;
+  RankScratch s;
+  point_rows(objectives, s);
+  ens_ranks(objectives.empty() ? 0 : objectives[0].size(), s);
+  return s.rank;
 }
 
 std::vector<double> crowding_distance(const std::vector<std::vector<double>>& objectives,
                                       const std::vector<std::size_t>& front) {
-  const double inf = std::numeric_limits<double>::infinity();
-  std::vector<double> distance(front.size(), 0.0);
-  if (front.empty()) return distance;
-  const std::size_t m_count = objectives[front[0]].size();
-  std::vector<std::size_t> order(front.size());
-  for (std::size_t m = 0; m < m_count; ++m) {
-    for (std::size_t i = 0; i < front.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return objectives[front[a]][m] < objectives[front[b]][m];
-    });
-    distance[order.front()] = inf;
-    distance[order.back()] = inf;
-    const double span =
-        objectives[front[order.back()]][m] - objectives[front[order.front()]][m];
-    if (span <= 0.0) continue;
-    for (std::size_t i = 1; i + 1 < order.size(); ++i) {
-      distance[order[i]] += (objectives[front[order[i + 1]]][m] -
-                             objectives[front[order[i - 1]]][m]) /
-                            span;
-    }
-  }
-  return distance;
+  RankScratch s;
+  point_rows(objectives, s);
+  crowding_into(front.empty() ? 0 : objectives[front[0]].size(), front, s);
+  return s.distance;
 }
 
 namespace {
 
-// Binary tournament: lower rank wins; ties broken by larger crowding.
-const Individual& tournament(const std::vector<Individual>& pop, Rng& rng) {
-  const auto& a = pop[static_cast<std::size_t>(
-      rng.uniform_int(0, static_cast<std::int64_t>(pop.size()) - 1))];
-  const auto& b = pop[static_cast<std::size_t>(
-      rng.uniform_int(0, static_cast<std::int64_t>(pop.size()) - 1))];
+// Binary tournament over pop[0, n): lower rank wins; ties broken by larger
+// crowding.
+const Individual& tournament(const std::vector<Individual>& pop, std::size_t n, Rng& rng) {
+  const auto& a =
+      pop[static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1))];
+  const auto& b =
+      pop[static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1))];
   if (a.rank != b.rank) return a.rank < b.rank ? a : b;
   return a.crowding >= b.crowding ? a : b;
 }
@@ -120,15 +166,15 @@ void exponential_crossover(const std::vector<int>& p1, const std::vector<int>& p
 
 // Polynomial mutation (Deb): perturbs within the parent's vicinity with a
 // polynomial probability distribution of index eta.
-void polynomial_mutation(std::vector<int>& genome, const IntegerProblem& problem,
-                         const Nsga2Config& cfg, Rng& rng) {
+void polynomial_mutation(std::vector<int>& genome, const std::vector<int>& lower,
+                         const std::vector<int>& upper, const Nsga2Config& cfg, Rng& rng) {
   const double p_gene = cfg.mutation_prob_per_gene > 0.0
                             ? cfg.mutation_prob_per_gene
                             : 1.0 / static_cast<double>(genome.size());
   for (std::size_t i = 0; i < genome.size(); ++i) {
     if (!rng.bernoulli(p_gene)) continue;
-    const double lo = problem.lower_bound(i);
-    const double hi = problem.upper_bound(i);
+    const double lo = lower[i];
+    const double hi = upper[i];
     if (hi <= lo) continue;
     const double x = genome[i];
     const double u = rng.uniform();
@@ -143,36 +189,39 @@ void polynomial_mutation(std::vector<int>& genome, const IntegerProblem& problem
   }
 }
 
-void evaluate_population(std::vector<Individual>& pop, const IntegerProblem& problem,
-                         bool parallel, std::size_t& evaluations) {
-  if (parallel && pop.size() > 1) {
-    parallel_for_each_index(
-        0, pop.size(),
-        [&pop, &problem](std::size_t i) { problem.evaluate(pop[i].genome, pop[i].objectives); },
-        nullptr, 1);
-  } else {
-    for (auto& ind : pop) problem.evaluate(ind.genome, ind.objectives);
-  }
-  evaluations += pop.size();
+void evaluate_population(std::vector<Individual>& pop, std::size_t begin, std::size_t end,
+                         const IntegerProblem& problem, std::size_t& evaluations) {
+  for (std::size_t i = begin; i < end; ++i) problem.evaluate(pop[i].genome, pop[i].objectives);
+  evaluations += end - begin;
 }
 
-void assign_ranks_and_crowding(std::vector<Individual>& pop) {
-  std::vector<std::vector<double>> objs(pop.size());
-  for (std::size_t i = 0; i < pop.size(); ++i) objs[i] = pop[i].objectives;
-  const auto ranks = fast_non_dominated_sort(objs);
-  std::size_t max_rank = 0;
-  for (std::size_t i = 0; i < pop.size(); ++i) {
-    pop[i].rank = ranks[i];
-    max_rank = std::max(max_rank, ranks[i]);
+// Crowding distance of pop[0, n) per front, given each member's rank. The
+// fronts list their members in ascending index order.
+void assign_crowding(std::vector<Individual>& pop, std::size_t n, std::size_t m_count,
+                     RankScratch& s) {
+  s.rows.resize(n);
+  std::size_t num_fronts = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    s.rows[i] = pop[i].objectives.data();
+    num_fronts = std::max(num_fronts, pop[i].rank + 1);
   }
-  for (std::size_t r = 0; r <= max_rank; ++r) {
-    std::vector<std::size_t> front;
-    for (std::size_t i = 0; i < pop.size(); ++i) {
-      if (pop[i].rank == r) front.push_back(i);
-    }
-    const auto dist = crowding_distance(objs, front);
-    for (std::size_t k = 0; k < front.size(); ++k) pop[front[k]].crowding = dist[k];
+  if (s.fronts.size() < num_fronts) s.fronts.resize(num_fronts);
+  for (std::size_t r = 0; r < num_fronts; ++r) s.fronts[r].clear();
+  for (std::size_t i = 0; i < n; ++i) s.fronts[pop[i].rank].push_back(i);
+  for (std::size_t r = 0; r < num_fronts; ++r) {
+    const auto& front = s.fronts[r];
+    crowding_into(m_count, front, s);
+    for (std::size_t k = 0; k < front.size(); ++k) pop[front[k]].crowding = s.distance[k];
   }
+}
+
+void assign_ranks_and_crowding(std::vector<Individual>& pop, std::size_t n,
+                               std::size_t m_count, RankScratch& s) {
+  s.rows.resize(n);
+  for (std::size_t i = 0; i < n; ++i) s.rows[i] = pop[i].objectives.data();
+  ens_ranks(m_count, s);
+  for (std::size_t i = 0; i < n; ++i) pop[i].rank = s.rank[i];
+  assign_crowding(pop, n, m_count, s);
 }
 
 }  // namespace
@@ -186,86 +235,109 @@ Nsga2Result nsga2(const IntegerProblem& problem, const Nsga2Config& config) {
   }
   Rng rng(config.seed);
   Nsga2Result result;
+  const std::size_t n = config.population_size;
+  const std::size_t m_count = problem.num_objectives();
+
+  // All storage is sized once. `pool` holds the population in [0, n) and
+  // a generation's offspring in [n, 2n); environmental selection permutes
+  // it in place. `spare` takes the second child of the last pair when n is
+  // odd.
+  Individual blank;
+  blank.genome.resize(problem.num_variables());
+  blank.objectives.resize(m_count);
+  std::vector<Individual> pool(2 * n, blank);
+  Individual spare = blank;
+  std::vector<std::size_t> survivors(2 * n);
+  RankScratch scratch;
+  std::vector<int> lower(problem.num_variables());
+  std::vector<int> upper(problem.num_variables());
+  for (std::size_t i = 0; i < lower.size(); ++i) {
+    lower[i] = problem.lower_bound(i);
+    upper[i] = problem.upper_bound(i);
+  }
 
   // Random-integer initialization within bounds, with caller-provided
   // heuristic seeds occupying the first slots.
-  std::vector<Individual> pop(config.population_size);
-  for (std::size_t p = 0; p < pop.size(); ++p) {
-    auto& ind = pop[p];
-    ind.genome.resize(problem.num_variables());
-    ind.objectives.resize(problem.num_objectives());
+  for (std::size_t p = 0; p < n; ++p) {
+    auto& ind = pool[p];
     if (p < config.initial_genomes.size() &&
         config.initial_genomes[p].size() == problem.num_variables()) {
       ind.genome = config.initial_genomes[p];
     } else {
       for (std::size_t i = 0; i < ind.genome.size(); ++i) {
-        ind.genome[i] = static_cast<int>(
-            rng.uniform_int(problem.lower_bound(i), problem.upper_bound(i)));
+        ind.genome[i] = static_cast<int>(rng.uniform_int(lower[i], upper[i]));
       }
     }
     problem.repair(ind.genome);
   }
-  evaluate_population(pop, problem, config.parallel_evaluation, result.evaluations);
-  assign_ranks_and_crowding(pop);
+  evaluate_population(pool, 0, n, problem, result.evaluations);
+  assign_ranks_and_crowding(pool, n, m_count, scratch);
 
-  // Sliding-window tolerance bookkeeping: track the ideal point (per-
-  // objective minima) over the last `tolerance_window` generations.
-  std::vector<std::vector<double>> ideal_history;
-  auto ideal_point = [&pop] {
-    std::vector<double> ideal = pop[0].objectives;
-    for (const auto& ind : pop) {
+  // Sliding-window tolerance bookkeeping: a ring of the ideal points
+  // (per-objective minima) of the last `tolerance_window` generations.
+  const std::size_t window = std::max<std::size_t>(config.tolerance_window, 1);
+  std::vector<std::vector<double>> ideal_ring(window, blank.objectives);
+  std::size_t ideals_recorded = 0;
+  auto record_ideal_point = [&] {
+    auto& ideal = ideal_ring[ideals_recorded++ % window];
+    ideal = pool[0].objectives;
+    for (std::size_t p = 0; p < n; ++p) {
       for (std::size_t m = 0; m < ideal.size(); ++m) {
-        ideal[m] = std::min(ideal[m], ind.objectives[m]);
+        ideal[m] = std::min(ideal[m], pool[p].objectives[m]);
       }
     }
-    return ideal;
   };
-  ideal_history.push_back(ideal_point());
+  record_ideal_point();
 
   for (std::size_t gen = 0; gen < config.max_generations; ++gen) {
     if (result.evaluations >= config.max_evaluations) break;
     ++result.generations;
 
     // Offspring via tournament + exponential crossover + polynomial mutation.
-    std::vector<Individual> offspring;
-    offspring.reserve(config.population_size);
-    while (offspring.size() < config.population_size) {
-      const auto& p1 = tournament(pop, rng);
-      const auto& p2 = tournament(pop, rng);
-      Individual c1;
-      Individual c2;
-      c1.objectives.resize(problem.num_objectives());
-      c2.objectives.resize(problem.num_objectives());
+    for (std::size_t made = 0; made < n; made += 2) {
+      const auto& p1 = tournament(pool, n, rng);
+      const auto& p2 = tournament(pool, n, rng);
+      auto& c1 = pool[n + made];
+      auto& c2 = made + 1 < n ? pool[n + made + 1] : spare;
       exponential_crossover(p1.genome, p2.genome, c1.genome, c2.genome, config, rng);
-      polynomial_mutation(c1.genome, problem, config, rng);
-      polynomial_mutation(c2.genome, problem, config, rng);
+      polynomial_mutation(c1.genome, lower, upper, config, rng);
+      polynomial_mutation(c2.genome, lower, upper, config, rng);
       problem.repair(c1.genome);
       problem.repair(c2.genome);
-      offspring.push_back(std::move(c1));
-      if (offspring.size() < config.population_size) offspring.push_back(std::move(c2));
     }
-    evaluate_population(offspring, problem, config.parallel_evaluation, result.evaluations);
+    evaluate_population(pool, n, 2 * n, problem, result.evaluations);
 
-    // Environmental selection over parents + offspring.
-    std::vector<Individual> merged;
-    merged.reserve(pop.size() + offspring.size());
-    for (auto& ind : pop) merged.push_back(std::move(ind));
-    for (auto& ind : offspring) merged.push_back(std::move(ind));
-    assign_ranks_and_crowding(merged);
-    std::sort(merged.begin(), merged.end(), [](const Individual& a, const Individual& b) {
-      if (a.rank != b.rank) return a.rank < b.rank;
-      return a.crowding > b.crowding;
+    // Environmental selection over parents + offspring: sort by (rank,
+    // crowding) and keep the first n. std::sort moves elements only on
+    // comparison outcomes, so sorting indices yields the permutation that
+    // sorting the individuals would. Survivors keep their ranks — every
+    // dominator of a survivor has a lower rank and survives too — so only
+    // crowding needs recomputing over the truncated population.
+    assign_ranks_and_crowding(pool, 2 * n, m_count, scratch);
+    for (std::size_t i = 0; i < 2 * n; ++i) survivors[i] = i;
+    std::sort(survivors.begin(), survivors.end(), [&pool](std::size_t a, std::size_t b) {
+      if (pool[a].rank != pool[b].rank) return pool[a].rank < pool[b].rank;
+      return pool[a].crowding > pool[b].crowding;
     });
-    merged.resize(config.population_size);
-    pop = std::move(merged);
-    assign_ranks_and_crowding(pop);
+    // Slot k takes pool[survivors[k]], one permutation cycle at a time;
+    // a visited slot is marked by survivors[j] = j.
+    for (std::size_t i = 0; i < 2 * n; ++i) {
+      std::size_t j = i;
+      while (survivors[j] != i) {
+        const std::size_t k = survivors[j];
+        std::swap(pool[j], pool[k]);
+        survivors[j] = j;
+        j = k;
+      }
+      survivors[j] = j;
+    }
+    assign_crowding(pool, n, m_count, scratch);
 
     // Tolerance termination over the sliding window.
-    ideal_history.push_back(ideal_point());
-    if (ideal_history.size() > config.tolerance_window) {
-      ideal_history.erase(ideal_history.begin());
-      const auto& oldest = ideal_history.front();
-      const auto& latest = ideal_history.back();
+    record_ideal_point();
+    if (ideals_recorded > window) {
+      const auto& oldest = ideal_ring[ideals_recorded % window];
+      const auto& latest = ideal_ring[(ideals_recorded - 1) % window];
       double rel_improvement = 0.0;
       for (std::size_t m = 0; m < latest.size(); ++m) {
         const double denom = std::max(std::abs(oldest[m]), 1e-12);
@@ -279,7 +351,8 @@ Nsga2Result nsga2(const IntegerProblem& problem, const Nsga2Config& config) {
   }
 
   // Extract the deduplicated rank-0 front.
-  for (const auto& ind : pop) {
+  for (std::size_t p = 0; p < n; ++p) {
+    const auto& ind = pool[p];
     if (ind.rank != 0) continue;
     const bool duplicate =
         std::any_of(result.front.begin(), result.front.end(),

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "moo/problem.hpp"
 
 namespace qon::moo {
@@ -27,7 +26,6 @@ struct Nsga2Config {
   std::size_t tolerance_window = 8;      ///< generations in the sliding window
   double tolerance = 1e-4;               ///< relative ideal-point improvement
   std::uint64_t seed = 1;
-  bool parallel_evaluation = false;      ///< evaluate population on the pool
   /// Heuristic genomes injected into the initial population (repaired
   /// first). Seeding the extremes (e.g. best-fidelity / least-busy
   /// assignments) guarantees the front covers the corners of the objective
@@ -53,8 +51,10 @@ struct Nsga2Result {
 /// objective (ascending) for deterministic downstream selection.
 Nsga2Result nsga2(const IntegerProblem& problem, const Nsga2Config& config);
 
-/// Exposed for testing: fast non-dominated sort. Returns per-individual rank
-/// (0 = best front).
+/// Exposed for testing: non-dominated sort. Returns per-individual rank
+/// (0 = best front; exact duplicates share a rank). Efficient Non-dominated
+/// Sort with binary search over fronts (Zhang et al. 2015), for any number
+/// of objectives. Objective values must not be NaN.
 std::vector<std::size_t> fast_non_dominated_sort(
     const std::vector<std::vector<double>>& objectives);
 

@@ -11,12 +11,7 @@ void IntegerProblem::repair(std::vector<int>& genome) const {
 }
 
 bool dominates(const std::vector<double>& a, const std::vector<double>& b) {
-  bool strictly_better = false;
-  for (std::size_t m = 0; m < a.size(); ++m) {
-    if (a[m] > b[m]) return false;
-    if (a[m] < b[m]) strictly_better = true;
-  }
-  return strictly_better;
+  return dominates(a.data(), b.data(), a.size());
 }
 
 std::vector<std::size_t> non_dominated_indices(

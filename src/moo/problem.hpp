@@ -37,6 +37,16 @@ class IntegerProblem {
 /// < somewhere).
 bool dominates(const std::vector<double>& a, const std::vector<double>& b);
 
+/// Same test over two rows of `m` objectives.
+inline bool dominates(const double* a, const double* b, std::size_t m) {
+  bool strictly_better = false;
+  for (std::size_t k = 0; k < m; ++k) {
+    if (a[k] > b[k]) return false;
+    if (a[k] < b[k]) strictly_better = true;
+  }
+  return strictly_better;
+}
+
 /// Indices of the non-dominated members of `objectives`.
 std::vector<std::size_t> non_dominated_indices(
     const std::vector<std::vector<double>>& objectives);

@@ -8,10 +8,13 @@
 
 namespace qon::sched {
 
-/// Eq. 1 as a moo::IntegerProblem. Pre-computes each job's feasible QPU set
-/// (size + online filters); repair() snaps infeasible genes to the nearest
-/// feasible QPU. Jobs with no feasible QPU must be filtered out before
-/// construction (see preprocess_jobs).
+/// Eq. 1 as a moo::IntegerProblem. The constructor flattens everything the
+/// NSGA-II hot path reads into row-major per-(job, QPU) tables: the nearest
+/// feasible QPU for every gene value (size + online filters, lowest index
+/// on equidistant ties), the execution time and the error 1 - fidelity.
+/// repair() is then a clamp plus one lookup per gene and evaluate() never
+/// touches the job records. Jobs with no feasible QPU must be filtered out
+/// before construction (see preprocess_jobs).
 class SchedulingProblem : public moo::IntegerProblem {
  public:
   explicit SchedulingProblem(const SchedulingInput& input);
@@ -25,18 +28,19 @@ class SchedulingProblem : public moo::IntegerProblem {
   void evaluate(const std::vector<int>& genome,
                 std::vector<double>& objectives) const override;
 
+  /// Clamps each gene to [0, Q-1], then snaps it to the nearest feasible QPU.
   void repair(std::vector<int>& genome) const override;
 
   /// Mean execution time of the assignment (Fig. 10a's metric).
   double mean_execution_time(const std::vector<int>& genome) const;
 
-  const SchedulingInput& input() const { return *input_; }
-
  private:
-  bool feasible_on(std::size_t job, int qpu) const;
-
-  const SchedulingInput* input_;
-  std::vector<std::vector<int>> feasible_;  ///< per-job feasible QPU indices
+  std::size_t num_jobs_;
+  std::size_t num_qpus_;
+  std::vector<int> nearest_;       ///< [job * Q + gene] -> feasible QPU
+  std::vector<double> exec_;       ///< [job * Q + qpu] -> est. exec seconds
+  std::vector<double> error_;      ///< [job * Q + qpu] -> 1 - est. fidelity
+  std::vector<double> queue_wait_; ///< [qpu] -> w_x
 };
 
 }  // namespace qon::sched

@@ -6,6 +6,7 @@
 
 #include <cmath>
 
+#include "common/rng.hpp"
 #include "moo/mcdm.hpp"
 #include "moo/nsga2.hpp"
 #include "moo/problem.hpp"
@@ -48,6 +49,57 @@ TEST(Sorting, FastNonDominatedSortRanks) {
   EXPECT_EQ(mixed[0], 0u);
   EXPECT_EQ(mixed[1], 0u);
   EXPECT_EQ(mixed[2], 1u);
+}
+
+// Brute-force reference: peel fronts one at a time, a point joining the
+// current front when no other remaining point dominates it.
+std::vector<std::size_t> pairwise_reference_ranks(
+    const std::vector<std::vector<double>>& objs) {
+  const std::size_t n = objs.size();
+  std::vector<std::size_t> rank(n, n);
+  std::size_t placed = 0;
+  for (std::size_t level = 0; placed < n; ++level) {
+    std::vector<std::size_t> front;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (rank[i] != n) continue;
+      bool dominated = false;
+      for (std::size_t j = 0; j < n && !dominated; ++j) {
+        dominated = j != i && rank[j] == n && dominates(objs[j], objs[i]);
+      }
+      if (!dominated) front.push_back(i);
+    }
+    for (std::size_t i : front) rank[i] = level;
+    placed += front.size();
+  }
+  return rank;
+}
+
+TEST(Sorting, EnsMatchesPairwiseReference) {
+  Rng rng(2015);
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t m = 2 + static_cast<std::size_t>(trial % 2);
+    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 256));
+    // A coarse grid in half the trials makes ties on single objectives
+    // common; copying earlier rows makes exact duplicates.
+    const bool grid = trial % 4 < 2;
+    std::vector<std::vector<double>> objs;
+    objs.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i > 0 && rng.bernoulli(0.15)) {
+        objs.push_back(objs[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(i) - 1))]);
+        continue;
+      }
+      std::vector<double> row(m);
+      for (auto& v : row) {
+        v = grid ? static_cast<double>(rng.uniform_int(0, 7)) : rng.uniform();
+      }
+      objs.push_back(std::move(row));
+    }
+    ASSERT_EQ(fast_non_dominated_sort(objs), pairwise_reference_ranks(objs))
+        << "trial " << trial << " (n=" << n << ", m=" << m << ")";
+  }
+  EXPECT_TRUE(fast_non_dominated_sort({}).empty());
 }
 
 TEST(Sorting, CrowdingDistanceBoundariesInfinite) {

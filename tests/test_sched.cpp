@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "sched/baselines.hpp"
@@ -116,6 +118,66 @@ TEST(Problem, ThrowsWhenJobFitsNowhere) {
   EXPECT_THROW(SchedulingProblem{input}, std::invalid_argument);
 }
 
+// Equivalence of the table-driven repair/evaluate with the rule they
+// encode, written out naively: clamp, then the nearest feasible QPU with
+// the lower index winning a tie; Eq. 1 with the co-assignment sum taken
+// job by job.
+std::vector<int> reference_repair(const SchedulingInput& input, std::vector<int> genome) {
+  const int hi = static_cast<int>(input.qpus.size()) - 1;
+  for (std::size_t j = 0; j < genome.size(); ++j) {
+    const int gene = std::clamp(genome[j], 0, hi);
+    int best = -1;
+    for (int q = 0; q <= hi; ++q) {
+      const auto& qpu = input.qpus[static_cast<std::size_t>(q)];
+      const bool feasible = qpu.online && input.jobs[j].qubits <= qpu.size &&
+                            std::isfinite(input.jobs[j].est_exec_seconds[static_cast<std::size_t>(q)]);
+      if (feasible && (best < 0 || std::abs(q - gene) < std::abs(best - gene))) best = q;
+    }
+    genome[j] = best;
+  }
+  return genome;
+}
+
+std::vector<double> reference_evaluate(const SchedulingInput& input,
+                                       const std::vector<int>& genome) {
+  double jct_sum = 0.0;
+  double error_sum = 0.0;
+  for (std::size_t i = 0; i < genome.size(); ++i) {
+    const auto q = static_cast<std::size_t>(genome[i]);
+    double co_assigned = 0.0;
+    for (std::size_t k = 0; k < genome.size(); ++k) {
+      if (genome[k] == genome[i]) co_assigned += input.jobs[k].est_exec_seconds[q];
+    }
+    jct_sum += input.qpus[q].queue_wait_seconds + co_assigned;
+    error_sum += 1.0 - input.jobs[i].est_fidelity[q];
+  }
+  const auto n = static_cast<double>(genome.size());
+  return {jct_sum / n, error_sum / n};
+}
+
+TEST(Problem, RepairAndEvaluateMatchNaiveReference) {
+  auto input = make_input(60, 8, 61);
+  // Offline QPUs 1 and 6 put genes 1 and 6 at equal distance from two
+  // feasible QPUs, so the lower-index tie-break is exercised on every trial.
+  input.qpus[1].online = false;
+  input.qpus[3].size = 8;   // undersized for most jobs
+  input.qpus[4].size = 12;
+  input.qpus[6].online = false;
+  input.jobs[7].est_exec_seconds[0] = kInfeasibleTime;
+  const SchedulingProblem problem(input);
+  Rng rng(62);
+  std::vector<double> objectives;
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<int> genome(input.jobs.size());
+    for (auto& gene : genome) gene = static_cast<int>(rng.uniform_int(-3, 11));  // out of range too
+    const auto expected = reference_repair(input, genome);
+    problem.repair(genome);
+    ASSERT_EQ(genome, expected) << "trial " << trial;
+    problem.evaluate(genome, objectives);
+    EXPECT_EQ(objectives, reference_evaluate(input, genome)) << "trial " << trial;
+  }
+}
+
 TEST(Preprocess, FiltersOversizedJobs) {
   SchedulingInput input;
   input.qpus = {{"a", 10, 0.0, true}};
@@ -220,6 +282,103 @@ TEST(Scheduler, MixedPreferencesInOneCycleServePerJobTradeoffs) {
   fid_pref_mean /= 20.0;
   jct_pref_mean /= 20.0;
   EXPECT_GT(fid_pref_mean, jct_pref_mean);
+}
+
+// Behaviour pin for the whole cycle: a fixed seeded 100-job x 8-QPU batch
+// with an undersized and an offline QPU and mixed per-job weights. Any
+// change to the NSGA-II draw sequence, the repair rule or the objective
+// arithmetic moves these numbers; a speed-up of the kernel must keep them
+// bit for bit.
+TEST(Scheduler, GoldenCycleIsPinned) {
+  auto input = make_input(100, 8, 2024);
+  input.qpus[2].size = 12;
+  input.qpus[5].online = false;
+  for (std::size_t j = 0; j < input.jobs.size(); ++j) {
+    if (j % 4 == 0) input.jobs[j].fidelity_weight = 0.1;
+    if (j % 4 == 1) input.jobs[j].fidelity_weight = 0.9;
+    if (j % 4 == 2) input.jobs[j].fidelity_weight = 0.5;
+  }
+  SchedulerConfig config;
+  config.nsga2.seed = 17;
+  config.fidelity_weight = 0.3;  // jobs j % 4 == 3 take the cycle default
+  const auto decision = schedule_cycle(input, config);
+
+  const std::vector<int> assignment = {
+      0, 0, 0, 0, 2, 0, 2, 1, 1, 0, 0, 2, 1, 0, 0, 1, 2, 0, 2, 0, 1, 0, 3, 2, 0,
+      0, 1, 0, 3, 0, 1, 3, 3, 0, 1, 1, 7, 0, 0, 3, 3, 0, 1, 0, 2, 0, 2, 0, 3, 0,
+      1, 2, 4, 0, 0, 1, 2, 0, 0, 3, 4, 0, 3, 0, 3, 0, 0, 0, 4, 0, 1, 1, 6, 0, 3,
+      3, 3, 0, 1, 4, 0, 0, 2, 1, 6, 0, 1, 1, 1, 0, 0, 1, 0, 0, 1, 1, 2, 1, 0, 0};
+  EXPECT_EQ(decision.assignment, assignment);
+  const std::vector<std::pair<double, double>> front = {
+      {180.67039534234129, 0.22815393054872718},
+      {185.27263834386071, 0.22271630438068044},
+      {190.14496257037916, 0.21670012693728138},
+      {191.5035368415204, 0.21356021471061562},
+      {191.91951127713637, 0.20401103884228852},
+      {197.98927138398275, 0.20158282445458578},
+      {199.28721315766003, 0.19717876251003066},
+      {201.49664330633144, 0.19257142688419498},
+      {204.56508399911087, 0.187869423941223},
+      {208.90891384983209, 0.18264753586127999},
+      {217.22803499607809, 0.17661481858508374},
+      {219.59633659740209, 0.17605743560494924},
+      {227.09705884570201, 0.17271524137185984},
+      {231.15097221014526, 0.17178613166201365},
+      {231.52380686473157, 0.16833096537864584},
+      {237.01156544992355, 0.16498526170988004},
+      {239.23142436564081, 0.16324498085714242},
+      {247.84888601928375, 0.15966937312718946},
+      {258.68025541551015, 0.15639629646907724},
+      {261.47166646152289, 0.15259996346960525},
+      {264.22764316864459, 0.13613644160393082},
+      {277.9810088739132, 0.13375169448114221},
+      {283.60450088182944, 0.13174453018217602},
+      {285.93291873946163, 0.12939482469519367},
+      {292.62670894776943, 0.12657794489224666},
+      {293.79320850033719, 0.12510830109678076},
+      {298.74399779396322, 0.12306731215047066},
+      {301.38544589140054, 0.12224077779023559},
+      {310.2670525128795, 0.12023436269019432},
+      {317.02220093718711, 0.11744205001496305},
+      {324.54615947984166, 0.11653781206094015},
+      {332.81831152140387, 0.11237314168113223},
+      {339.51686147548577, 0.11006232593639195},
+      {347.13091997025055, 0.10910819869462612},
+      {350.51637880872534, 0.1076895860707343},
+      {356.27062277933595, 0.10548447964591343},
+      {369.56102413918103, 0.10299111799549632},
+      {374.86530981329628, 0.10017943241586305},
+      {392.53090418944123, 0.099034225847404761},
+      {398.47610809633255, 0.097265235486663743},
+      {403.86378570385023, 0.094954854894070947},
+      {411.14767785880599, 0.094791777858581089},
+      {420.4138090075146, 0.091275714291240706},
+      {434.49318314410181, 0.091103329845849929},
+      {445.10745594467653, 0.089901345279419786},
+      {458.98458539893227, 0.08730978332207584},
+      {472.56050805269342, 0.086536175506774685},
+      {483.17741532600871, 0.084892770845437227},
+      {489.71885273256282, 0.083766620303918612},
+      {506.09678944020021, 0.082230429873767844},
+      {509.80040706043087, 0.08196879029018575},
+      {530.60216289607172, 0.08124033724467708},
+      {534.10436799268473, 0.080791559301573793},
+      {556.46738815651668, 0.079225395329934611},
+      {568.8577541673717, 0.078103529100215924},
+      {582.5302911400571, 0.077187047432551184},
+      {596.73543556975198, 0.076757026463965497},
+      {604.39065518725101, 0.076001966236128385},
+      {625.29940950035189, 0.074987306898463543},
+      {635.80712844214429, 0.074249259425337111}};
+  ASSERT_EQ(decision.pareto_front.size(), front.size());
+  for (std::size_t i = 0; i < front.size(); ++i) {
+    EXPECT_EQ(decision.pareto_front[i].mean_jct, front[i].first) << "front point " << i;
+    EXPECT_EQ(decision.pareto_front[i].mean_error, front[i].second) << "front point " << i;
+  }
+  EXPECT_EQ(decision.chosen.mean_jct, 248.95879495987484);
+  EXPECT_EQ(decision.chosen.mean_error, 0.14644907527930359);
+  EXPECT_EQ(decision.nsga2_generations, 16u);
+  EXPECT_EQ(decision.nsga2_evaluations, 1088u);
 }
 
 TEST(Scheduler, RejectsBadPerJobWeight) {

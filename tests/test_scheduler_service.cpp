@@ -1169,6 +1169,32 @@ TEST(BatchServing, ImmediateModeIsTheExplicitFallback) {
   EXPECT_EQ(stats->stats.jobs_scheduled, 0u);
 }
 
+// Regression: an immediate-mode quantum root task is ready at t=0 on the
+// DAG, but it must not start before its run was submitted.
+TEST(BatchServing, ImmediateModeTaskStartsNoEarlierThanSubmission) {
+  QonductorConfig config;
+  config.num_qpus = 2;
+  config.seed = 41;
+  config.trajectory_width_limit = 8;
+  config.scheduler_service.mode = SchedulingMode::kImmediate;
+  api::QonductorClient client(config);
+  const auto image = deploy_quantum(client, "immediate-late", circuit::ghz(3));
+  client.backend().advanceFleetClock(500.0);
+
+  api::InvokeRequest request;
+  request.image = image;
+  auto handle = client.invoke(request);
+  ASSERT_TRUE(handle.ok()) << handle.status().to_string();
+  EXPECT_EQ(handle->wait(), api::RunStatus::kCompleted);
+  auto info = client.getRun(handle->id());
+  ASSERT_TRUE(info.ok());
+  EXPECT_GE(info->submitted_at, 500.0);
+  auto result = handle->result();
+  ASSERT_TRUE(result.ok());
+  ASSERT_EQ(result->tasks.size(), 1u);
+  EXPECT_GE(result->tasks[0].start, info->submitted_at);
+}
+
 TEST(BatchServing, ImmediateModeOfflineFleetIsTypedResourceExhausted) {
   QonductorConfig config;
   config.num_qpus = 2;
