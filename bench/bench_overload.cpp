@@ -5,15 +5,20 @@
 // gate sheds batch work (invoke never blocks on queue capacity), and the
 // engine workers ride the capacity waitlist instead of convoying in push
 // (waitlist_parks > 0 is asserted — a zero means this bench stopped
-// exercising the overload path and must be retuned). Emits
+// exercising the overload path and must be retuned). The scheduler's first
+// cycle is held at its QPU snapshot until every admitted run has been
+// handed to the queue, so the overflow reaches the waitlist on any core
+// count instead of depending on the scheduler losing a race. Emits
 // BENCH_overload.json so future admission changes diff against this
 // baseline.
 
 #include <chrono>
 #include <cstddef>
 #include <fstream>
+#include <future>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/client.hpp"
@@ -38,6 +43,12 @@ int main() {
   config.scheduler_service.max_batch_size = 512;
   config.scheduler_service.linger = std::chrono::milliseconds(5);
   config.admission.max_live_runs = 6000;
+  // No run settles while the hold lasts, so live runs climb to the admission
+  // bound (6000): more than the queue (4096) plus the held cycle's batch
+  // (512) plus the runs the workers are still stepping can absorb.
+  std::promise<void> release_scheduler;
+  config.health.scheduler_fault_injection =
+      [released = release_scheduler.get_future().share()] { released.wait(); };
   api::QonductorClient client(config);
 
   api::CreateWorkflowRequest create;
@@ -84,6 +95,14 @@ int main() {
     }
   }
   const double flood_seconds = wall.seconds();
+
+  // Every admitted run's only pre-park event is posted by now; once the
+  // workers have popped them all, at most executor_threads runs are not yet
+  // parked in the queue or on its waitlist. Then let the cycles drain.
+  while (client.backend().runEngine().stats().queue_depth > 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  release_scheduler.set_value();
 
   std::size_t completed = 0;
   for (const auto& handle : admitted) {

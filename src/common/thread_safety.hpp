@@ -127,13 +127,13 @@ enum class LockRank : int {
   /// outside kMonitor (the flag flip happens under it).
   kReservations = 200,
   /// api::RunState::mutex — one per run record. Outside kRunTable
-  /// (settle_run calls mark_terminal under the record lock) and outside
-  /// kMonitor (a mark_terminal eviction erases monitor entries).
+  /// (settle_run calls mark_terminal under the record lock).
   kRunState = 300,
-  /// core::RunTable::mutex_ — the run-record table structure.
+  /// core::RunTable::mutex_ — the run-record table structure. A leaf:
+  /// eviction only drops the table's reference and calls out to nothing.
   kRunTable = 400,
-  /// core::SystemMonitor::mutex_ — serializes the KV backend. Inside
-  /// kEngine, kReservations and kRunState (see above); a leaf otherwise.
+  /// core::SystemMonitor::mutex_ — serializes the fleet-record backend.
+  /// Inside kEngine and kReservations (see above); a leaf otherwise.
   kMonitor = 500,
   /// obs::MetricsRegistry::mutex_ — metric registration + snapshot. Must
   /// rank BELOW kPendingQueue/kRunEngine/kSchedulerStats: snapshot() polls

@@ -70,10 +70,6 @@ Qonductor::Qonductor(QonductorConfig config)
       run_table_(config.retention),
       telemetry_(config.telemetry) {
   templates_ = fleet_.template_backends();
-  // GC follows the record: when the run table evicts a terminal run, its
-  // status entry leaves the system monitor too.
-  run_table_.set_eviction_observer(
-      [this](RunId run) { monitor_.erase_workflow_status(run); });
   {
     // Construction is single-threaded, but qpu_available_at_ and the fleet
     // publish are engine-guarded state: taking the (uncontended) engine
@@ -440,7 +436,6 @@ api::Result<api::RunHandle> Qonductor::start_run(const workflow::WorkflowImage* 
     state->submitted_at = submitted_at;
   }
   const RunId run = run_table_.insert(state);
-  monitor_.set_workflow_status(run, api::run_status_name(api::RunStatus::kPending));
   auto cont = std::make_shared<RunContinuation>();
   cont->state = state;
   cont->image = image;
@@ -471,7 +466,6 @@ api::Result<api::RunHandle> Qonductor::start_run(const workflow::WorkflowImage* 
       state->result.error = api::Unavailable("executor shutting down");
     }
     state->cv.notify_all();
-    monitor_.erase_workflow_status(run);
     return api::Unavailable("invoke: run engine is shutting down, run " +
                             std::to_string(run) + " rejected");
   }
@@ -835,10 +829,6 @@ StepOutcome Qonductor::settle_run(const std::shared_ptr<RunContinuation>& cont) 
   const RunId run = state->id;
   const api::RunStatus terminal = cont->result.status;  // moved below
   cont->result.run = run;
-  // The monitor write must precede mark_terminal: the instant the run is
-  // GC-eligible a concurrent eviction may erase the monitor entry, and a
-  // later write would resurrect it unerasable.
-  monitor_.set_workflow_status(run, api::run_status_name(terminal));
   double submitted_at = 0.0;
   {
     MutexLock lock(state->mutex);
@@ -968,7 +958,6 @@ StepOutcome Qonductor::step_run_impl(const std::shared_ptr<RunContinuation>& con
       return settle_run(cont);
     }
     state->cv.notify_all();
-    monitor_.set_workflow_status(run, api::run_status_name(api::RunStatus::kRunning));
     cont->started = true;
   }
 
@@ -1064,7 +1053,7 @@ StepOutcome Qonductor::step_run_impl(const std::shared_ptr<RunContinuation>& con
         cont->trace ? telemetry_.tracer().wall_now_us() : 0.0;
     api::Result<TaskResult> executed = task.kind == workflow::TaskKind::kQuantum
                                            ? run_quantum_immediate(state, task, ready)
-                                           : run_classical_task(task, ready);
+                                           : run_classical_task(state, task, ready);
     if (!executed.ok()) {
       return settle_task_failure(cont, task.name, executed.status());
     }
@@ -1360,19 +1349,28 @@ api::Result<TaskResult> Qonductor::run_quantum_immediate(
                                 ready_at, submitted_at);
 }
 
-api::Result<TaskResult> Qonductor::run_classical_task(const workflow::HybridTask& task,
-                                                      double ready_at) {
+api::Result<TaskResult> Qonductor::run_classical_task(
+    const std::shared_ptr<api::RunState>& state, const workflow::HybridTask& task,
+    double ready_at) {
   const int node = sched::schedule_classical(nodes_, task.request);
   if (node < 0) {
     return api::ResourceExhausted("run_classical_task: no classical node fits '" +
                                   task.name + "'");
   }
+  // A root node's ready time is 0: the submission instant bounds the start.
+  double submitted_at = 0.0;
+  {
+    MutexLock lock(state->mutex);
+    submitted_at = state->submitted_at;
+  }
   TaskResult result;
   result.name = task.name;
   result.kind = workflow::TaskKind::kClassical;
   result.resource = nodes_[static_cast<std::size_t>(node)].name;
-  result.start = ready_at;  // abundant classical capacity: no queueing
-  result.end = ready_at + task.estimated_seconds / mitigation::accelerator_speedup(task.accelerator);
+  // Abundant classical capacity: no queueing.
+  result.start = std::max(ready_at, submitted_at);
+  result.end =
+      result.start + task.estimated_seconds / mitigation::accelerator_speedup(task.accelerator);
   result.cost_dollars = estimator::job_cost_dollars(0.0, result.end - result.start,
                                                     task.accelerator,
                                                     config_.plan_config.prices);

@@ -343,9 +343,8 @@ class Qonductor {
   /// throws — task failures settle the run kFailed.
   StepOutcome step_run_impl(const std::shared_ptr<RunContinuation>& cont);
   /// Writes the continuation's accumulated result into the run record,
-  /// stamps finished_at, publishes the terminal status to the monitor
-  /// (before mark_terminal, so a concurrent eviction can erase it) and
-  /// makes the run GC-eligible. Always returns kFinished.
+  /// stamps finished_at and makes the run GC-eligible in the run table.
+  /// Always returns kFinished.
   StepOutcome settle_run(const std::shared_ptr<RunContinuation>& cont);
   /// Routes a task's failure verdict into the run's terminal result and
   /// settles it: kCancelled ends the run kCancelled (the task was pulled
@@ -366,7 +365,8 @@ class Qonductor {
   api::Result<TaskResult> run_quantum_immediate(const std::shared_ptr<api::RunState>& state,
                                                 const workflow::HybridTask& task,
                                                 double ready_at);
-  api::Result<TaskResult> run_classical_task(const workflow::HybridTask& task,
+  api::Result<TaskResult> run_classical_task(const std::shared_ptr<api::RunState>& state,
+                                             const workflow::HybridTask& task,
                                              double ready_at);
   std::shared_ptr<const QuantumTaskPrep> prepare_quantum_task(
       const workflow::HybridTask& task) const;

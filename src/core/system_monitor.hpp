@@ -1,10 +1,11 @@
 #pragma once
-// System monitor (§4.1): the datastore persisting the complete system state
-// — worker/QPU static and dynamic information, workflow statuses and
-// results. Backed either by a plain local map (fast path for simulation)
-// or by the Raft-replicated KV store (2f+1 quorum, §4.1 fault tolerance).
+// System monitor (§4.1): the datastore persisting fleet state — each QPU's
+// static and dynamic information, its health and its reservation. Run
+// status lives in the run table, not here. Backed either by typed local
+// records (fast path for simulation) or by the Raft-replicated KV store
+// (2f+1 quorum, §4.1 fault tolerance); records are serialized only on the
+// way into and out of the replicated store.
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -38,37 +39,24 @@ struct QpuInfo {
 class SystemMonitor {
  public:
   /// `replicated` switches to the Raft-backed store (slower, fault
-  /// tolerant); the local map is the default for simulations.
+  /// tolerant); typed local records are the default for simulations.
   explicit SystemMonitor(bool replicated = false, std::size_t replicas = 3);
 
-  // -- raw KV ----------------------------------------------------------------
-  bool put(const std::string& key, const std::string& value);
-  std::optional<std::string> get(const std::string& key) const;
-  bool erase(const std::string& key);
-
-  // -- QPU state ---------------------------------------------------------------
-  void update_qpu(const QpuInfo& info);
-  /// Publishes dynamic state (queue, calibration) while preserving the
-  /// stored health and reservation flags — atomic with the flag setters
-  /// below, unlike a read-modify-write through qpu()/update_qpu().
+  /// The one writer: publishes dynamic state (queue, calibration) while
+  /// preserving the stored health and reservation flags, atomically with
+  /// the flag setters below. The first publish of a name registers the QPU
+  /// with the flags `info` carries.
   void publish_qpu_dynamic(const QpuInfo& info);
   /// Atomically flips only the health flag; returns the previous value,
-  /// nullopt for unknown names. The blessed device-manager path: an
-  /// external qpu()→update_qpu() read-modify-write can lose concurrent
-  /// flag writes.
+  /// nullopt for unknown names. The device-manager path: a read-modify-write
+  /// through qpu() and a republish could lose concurrent flag writes.
   std::optional<bool> set_qpu_online(const std::string& name, bool online);
   /// Atomically flips only the §7 reservation flag (reserveQpu/releaseQpu
   /// sit on top); same contract as set_qpu_online.
   std::optional<bool> set_qpu_reserved(const std::string& name, bool reserved);
   std::optional<QpuInfo> qpu(const std::string& name) const;
+  /// Registered QPUs, in registration order.
   std::vector<std::string> qpu_names() const;
-
-  // -- workflow state ---------------------------------------------------------
-  void set_workflow_status(std::uint64_t run_id, const std::string& status);
-  std::optional<std::string> workflow_status(std::uint64_t run_id) const;
-  /// Drops a run's status record; called when the run table evicts the run
-  /// so the monitor's footprint stays bounded alongside it.
-  void erase_workflow_status(std::uint64_t run_id);
 
   bool replicated() const {
     // store_ is immutable after construction, but the lock keeps the
@@ -79,17 +67,18 @@ class SystemMonitor {
 
  private:
   // Backend access with mutex_ already held.
-  bool put_unlocked(const std::string& key, const std::string& value) REQUIRES(mutex_);
-  std::optional<std::string> get_unlocked(const std::string& key) const
-      REQUIRES(mutex_);
+  std::optional<QpuInfo> load_locked(const std::string& name) const REQUIRES(mutex_);
+  void store_locked(const QpuInfo& info) REQUIRES(mutex_);
 
   mutable Mutex mutex_{LockRank::kMonitor, "SystemMonitor::mutex_"};
-  // Exactly one of these is active. The ReplicatedKvStore (and the whole
+  // Exactly one backend is active. Local: the records themselves, in
+  // registration order. Replicated: the committed store plus the
+  // registration order of its keys. The ReplicatedKvStore (and the whole
   // raft:: simulation under it) is thread-compatible, not thread-safe —
   // every access is serialized behind mutex_ here.
-  std::map<std::string, std::string> local_ GUARDED_BY(mutex_);
+  std::vector<QpuInfo> local_ GUARDED_BY(mutex_);
   std::unique_ptr<raft::ReplicatedKvStore> store_ GUARDED_BY(mutex_);
-  std::vector<std::string> qpu_names_ GUARDED_BY(mutex_);  ///< registration order
+  std::vector<std::string> replicated_names_ GUARDED_BY(mutex_);
 };
 
 }  // namespace qon::core

@@ -147,8 +147,6 @@ TEST(AsyncInvoke, ReturnsBeforeExecutionCompletes) {
   EXPECT_EQ(result->status, RunStatus::kCompleted);
   ASSERT_EQ(result->tasks.size(), 1u);
   EXPECT_TRUE(result->error.ok());
-  EXPECT_EQ(client.backend().monitor().workflow_status(handle->id()).value_or(""),
-            "completed");
 }
 
 TEST(AsyncInvoke, WaitForTimesOutWhileInFlight) {
@@ -220,8 +218,6 @@ TEST(AsyncInvoke, CancelMidRunStopsAtTaskBoundary) {
   // Task 0 completed before the cancellation took effect; tasks 1-2 never ran.
   EXPECT_EQ(result->tasks.size(), 1u);
   EXPECT_FALSE(handle->cancel());  // already terminal
-  EXPECT_EQ(client.backend().monitor().workflow_status(handle->id()).value_or(""),
-            "cancelled");
 }
 
 // A cancel that lands after the last task has executed must not relabel

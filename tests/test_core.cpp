@@ -15,50 +15,47 @@
 namespace qon::core {
 namespace {
 
-TEST(SystemMonitor, LocalPutGetErase) {
-  SystemMonitor monitor(false);
-  EXPECT_TRUE(monitor.put("k", "v"));
-  EXPECT_EQ(monitor.get("k").value_or(""), "v");
-  EXPECT_TRUE(monitor.erase("k"));
-  EXPECT_FALSE(monitor.get("k").has_value());
-  EXPECT_FALSE(monitor.replicated());
-}
+// Both backends answer the same fleet-record contract: the local one holds
+// typed records, the replicated one round-trips them through the Raft store.
+class SystemMonitorBackend : public ::testing::TestWithParam<bool> {};
 
-TEST(SystemMonitor, ReplicatedBackendWorks) {
-  SystemMonitor monitor(true);
-  EXPECT_TRUE(monitor.replicated());
-  EXPECT_TRUE(monitor.put("qpu/x", "state"));
-  EXPECT_EQ(monitor.get("qpu/x").value_or(""), "state");
-}
-
-TEST(SystemMonitor, QpuRoundTrip) {
-  SystemMonitor monitor(false);
+TEST_P(SystemMonitorBackend, QpuRoundTrip) {
+  SystemMonitor monitor(GetParam());
+  EXPECT_EQ(monitor.replicated(), GetParam());
   QpuInfo info;
   info.name = "mumbai";
   info.qubits = 27;
   info.queue_length = 12;
-  info.queue_wait_seconds = 345.5;
+  // An absolute virtual instant past a simulated day needs more than the
+  // default stream precision's 6 significant digits to survive.
+  info.queue_wait_seconds = 123456.78;
   info.mean_gate_error_2q = 0.011;
   info.calibration_cycle = 7;
-  info.online = true;
-  monitor.update_qpu(info);
+  monitor.publish_qpu_dynamic(info);
   const auto read = monitor.qpu("mumbai");
   ASSERT_TRUE(read.has_value());
+  EXPECT_EQ(read->name, "mumbai");
   EXPECT_EQ(read->qubits, 27);
   EXPECT_EQ(read->queue_length, 12u);
-  EXPECT_NEAR(read->queue_wait_seconds, 345.5, 1e-9);
-  EXPECT_NEAR(read->mean_gate_error_2q, 0.011, 1e-9);
+  EXPECT_EQ(read->queue_wait_seconds, 123456.78);
+  EXPECT_EQ(read->mean_gate_error_2q, 0.011);
   EXPECT_EQ(read->calibration_cycle, 7u);
+  EXPECT_TRUE(read->online);
+  EXPECT_FALSE(read->reserved);
   EXPECT_EQ(monitor.qpu_names(), (std::vector<std::string>{"mumbai"}));
   EXPECT_FALSE(monitor.qpu("absent").has_value());
 }
 
-TEST(SystemMonitor, AtomicFlagSettersAndDynamicPublishCompose) {
-  SystemMonitor monitor(false);
+TEST_P(SystemMonitorBackend, AtomicFlagSettersAndDynamicPublishCompose) {
+  SystemMonitor monitor(GetParam());
   QpuInfo info;
   info.name = "mumbai";
   info.qubits = 27;
-  monitor.update_qpu(info);
+  monitor.publish_qpu_dynamic(info);
+  QpuInfo other;
+  other.name = "kolkata";
+  monitor.publish_qpu_dynamic(other);
+  EXPECT_EQ(monitor.qpu_names(), (std::vector<std::string>{"mumbai", "kolkata"}));
 
   // Field-level setters return the previous value and touch nothing else.
   EXPECT_EQ(monitor.set_qpu_reserved("mumbai", true), std::optional<bool>(false));
@@ -73,19 +70,21 @@ TEST(SystemMonitor, AtomicFlagSettersAndDynamicPublishCompose) {
   monitor.publish_qpu_dynamic(dynamic);
   const auto read = monitor.qpu("mumbai");
   ASSERT_TRUE(read.has_value());
-  EXPECT_NEAR(read->queue_wait_seconds, 99.0, 1e-9);
+  EXPECT_EQ(read->queue_wait_seconds, 99.0);
+  EXPECT_EQ(read->qubits, 27);
   EXPECT_FALSE(read->online);    // health flip survived the republish
   EXPECT_TRUE(read->reserved);   // reservation survived the republish
+  const auto untouched = monitor.qpu("kolkata");
+  ASSERT_TRUE(untouched.has_value());
+  EXPECT_TRUE(untouched->online);
+  EXPECT_FALSE(untouched->reserved);
+  EXPECT_EQ(monitor.qpu_names(), (std::vector<std::string>{"mumbai", "kolkata"}));
 }
 
-TEST(SystemMonitor, WorkflowStatusRoundTrip) {
-  SystemMonitor monitor(false);
-  monitor.set_workflow_status(42, "running");
-  EXPECT_EQ(monitor.workflow_status(42).value_or(""), "running");
-  EXPECT_FALSE(monitor.workflow_status(43).has_value());
-  monitor.erase_workflow_status(42);
-  EXPECT_FALSE(monitor.workflow_status(42).has_value());
-}
+INSTANTIATE_TEST_SUITE_P(Backends, SystemMonitorBackend, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& param) {
+                           return param.param ? "replicated" : "local";
+                         });
 
 class OrchestratorFixture : public ::testing::Test {
  protected:
@@ -280,15 +279,6 @@ TEST_F(OrchestratorFixture, UnknownRunIsNotFound) {
   auto info = orchestrator.getRun(get_request);
   ASSERT_FALSE(info.ok());
   EXPECT_EQ(info.status().code(), api::StatusCode::kNotFound);
-}
-
-TEST_F(OrchestratorFixture, MonitorTracksWorkflowStatus) {
-  Qonductor orchestrator(small_config());
-  const auto image = create(orchestrator, "tracked",
-                            {workflow::HybridTask::classical("c", 0.1)});
-  deploy(orchestrator, image);
-  const auto result = invoke_and_wait(orchestrator, image);
-  EXPECT_EQ(orchestrator.monitor().workflow_status(result.run).value_or(""), "completed");
 }
 
 TEST_F(OrchestratorFixture, RunInfoTimestampsFollowTheFleetClock) {

@@ -56,17 +56,15 @@ TEST(RunTable, CapacityEvictsLeastRecentlyUsedTerminalRun) {
   RunRetentionPolicy policy;
   policy.max_terminal_runs = 2;
   RunTable table(policy);
-  std::vector<api::RunId> evicted;
-  table.set_eviction_observer([&evicted](api::RunId id) { evicted.push_back(id); });
 
   for (int i = 0; i < 3; ++i) table.insert(make_state());
   table.mark_terminal(1);
   table.mark_terminal(2);
   EXPECT_EQ(table.size(), 3u);  // within budget: nothing evicted
-  EXPECT_TRUE(evicted.empty());
+  EXPECT_EQ(table.evictions(), 0u);
 
   table.mark_terminal(3);  // over budget: the oldest terminal run goes
-  EXPECT_EQ(evicted, (std::vector<api::RunId>{1}));
+  EXPECT_EQ(table.size(), 2u);
   EXPECT_EQ(table.find(1), nullptr);
   EXPECT_NE(table.find(2), nullptr);
   EXPECT_NE(table.find(3), nullptr);
@@ -233,8 +231,6 @@ TEST(RunTableStress, ConcurrentSubmitPollCancelEvict) {
   RunRetentionPolicy policy;
   policy.max_terminal_runs = kCapacity;
   RunTable table(policy);
-  std::atomic<std::uint64_t> eviction_events{0};
-  table.set_eviction_observer([&eviction_events](api::RunId) { ++eviction_events; });
 
   std::atomic<bool> stop{false};
   std::atomic<api::RunId> max_id{0};
@@ -310,7 +306,10 @@ TEST(RunTableStress, ConcurrentSubmitPollCancelEvict) {
   // Settled terminal population respects the capacity bound exactly.
   EXPECT_LE(table.terminal_count(), kCapacity);
   EXPECT_EQ(table.size(), in_flight_total + table.terminal_count());
-  EXPECT_EQ(table.evictions(), eviction_events.load());
+  // Nothing was erase()d, so every inserted run is either still in the
+  // table or counted as evicted.
+  EXPECT_EQ(table.size() + table.evictions(),
+            static_cast<std::uint64_t>(kSubmitters * kRunsPerSubmitter));
   // Ids in the final listing are unique and sorted.
   const auto survivors = table.list_after(0);
   std::set<api::RunId> ids;
@@ -362,8 +361,6 @@ TEST_F(RunLifecycleFixture, ListRunsGetRunRoundTripAcrossEviction) {
     auto info = client.getRun(run);
     ASSERT_FALSE(info.ok()) << "run " << run << " should have been evicted";
     EXPECT_EQ(info.status().code(), api::StatusCode::kNotFound);
-    // The monitor record was garbage-collected along with the run.
-    EXPECT_FALSE(client.backend().monitor().workflow_status(run).has_value());
   }
   for (api::RunId run = 7; run <= 10; ++run) {
     auto info = client.getRun(run);

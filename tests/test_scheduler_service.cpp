@@ -1195,6 +1195,44 @@ TEST(BatchServing, ImmediateModeTaskStartsNoEarlierThanSubmission) {
   EXPECT_GE(result->tasks[0].start, info->submitted_at);
 }
 
+// The same bound on the classical path, which both modes share: a root
+// classical task is ready at DAG time 0 but cannot start before its run
+// was submitted, and its duration counts from the real start.
+TEST(BatchServing, ClassicalRootTaskStartsNoEarlierThanSubmission) {
+  for (const SchedulingMode mode : {SchedulingMode::kBatch, SchedulingMode::kImmediate}) {
+    SCOPED_TRACE(mode == SchedulingMode::kBatch ? "batch" : "immediate");
+    QonductorConfig config;
+    config.num_qpus = 2;
+    config.seed = 43;
+    config.scheduler_service.mode = mode;
+    api::QonductorClient client(config);
+    api::CreateWorkflowRequest create;
+    create.name = "classical-late";
+    create.tasks.push_back(workflow::HybridTask::classical("post", 0.25));
+    auto created = client.createWorkflow(std::move(create));
+    ASSERT_TRUE(created.ok()) << created.status().to_string();
+    api::DeployRequest deploy;
+    deploy.image = created->image;
+    ASSERT_TRUE(client.deploy(deploy).ok());
+    client.backend().advanceFleetClock(500.0);
+
+    api::InvokeRequest request;
+    request.image = created->image;
+    auto handle = client.invoke(request);
+    ASSERT_TRUE(handle.ok()) << handle.status().to_string();
+    EXPECT_EQ(handle->wait(), api::RunStatus::kCompleted);
+    auto info = client.getRun(handle->id());
+    ASSERT_TRUE(info.ok());
+    EXPECT_GE(info->submitted_at, 500.0);
+    auto result = handle->result();
+    ASSERT_TRUE(result.ok());
+    ASSERT_EQ(result->tasks.size(), 1u);
+    EXPECT_GE(result->tasks[0].start, info->submitted_at);
+    EXPECT_DOUBLE_EQ(result->tasks[0].end - result->tasks[0].start, 0.25);
+    EXPECT_GE(info->finished_at, result->tasks[0].end);
+  }
+}
+
 TEST(BatchServing, ImmediateModeOfflineFleetIsTypedResourceExhausted) {
   QonductorConfig config;
   config.num_qpus = 2;
