@@ -1,7 +1,6 @@
 // Burst benchmark — the run engine's scale trajectory. Bursts of 1k and 5k
-// concurrent runs are fanned out on executor_threads = 2 in batch and
-// immediate mode; for each scenario we record p50/p95 end-to-end run
-// latency (virtual seconds from submit to finish) and the engine's peak
+// concurrent runs are fanned out on executor_threads = 2; for each
+// scenario we record p50/p95 end-to-end run latency (virtual seconds from submit to finish) and the engine's peak
 // live-run count — the decoupling statistic: pre-engine, two executor
 // threads meant at most two runs could park quantum tasks at once, so a
 // 5000-run burst could not even form scheduling batches. Emits
@@ -23,7 +22,6 @@
 namespace {
 
 struct Scenario {
-  std::string mode;
   std::size_t runs = 0;
   std::size_t completed = 0;
   double latency_p50 = 0.0;  ///< virtual seconds, submit -> finish
@@ -35,7 +33,7 @@ struct Scenario {
   double wall_seconds = 0.0;
 };
 
-Scenario run_burst(qon::api::SchedulingMode mode, std::size_t runs) {
+Scenario run_burst(std::size_t runs) {
   using namespace qon;
   core::QonductorConfig config;
   config.num_qpus = 8;
@@ -43,7 +41,6 @@ Scenario run_burst(qon::api::SchedulingMode mode, std::size_t runs) {
   config.trajectory_width_limit = 0;  // analytic model: isolate orchestration cost
   config.executor_threads = 2;        // the whole point: a handful of workers
   config.retention.max_terminal_runs = runs + 8;
-  config.scheduler_service.mode = mode;
   config.scheduler_service.queue_threshold = 200;
   config.scheduler_service.max_batch_size = 500;
   config.scheduler_service.queue_capacity = 0;  // the burst IS the bound here
@@ -68,7 +65,6 @@ Scenario run_burst(qon::api::SchedulingMode mode, std::size_t runs) {
   if (!handles.ok()) throw std::runtime_error(handles.status().to_string());
 
   Scenario scenario;
-  scenario.mode = api::scheduling_mode_name(mode);
   scenario.runs = runs;
   std::vector<double> latencies;
   latencies.reserve(runs);
@@ -99,16 +95,12 @@ int main() {
   bench::print_header("Burst scaling",
                       "End-to-end run latency and peak live runs on 2 engine workers");
 
-  std::vector<Scenario> scenarios;
-  for (const std::size_t runs : {std::size_t{1000}, std::size_t{5000}}) {
-    scenarios.push_back(run_burst(api::SchedulingMode::kBatch, runs));
-    scenarios.push_back(run_burst(api::SchedulingMode::kImmediate, runs));
-  }
+  const std::vector<Scenario> scenarios = {run_burst(1000), run_burst(5000)};
 
-  TextTable table({"mode", "runs", "completed", "latency p50 [s]", "latency p95 [s]",
+  TextTable table({"runs", "completed", "latency p50 [s]", "latency p95 [s]",
                    "peak live", "cycles", "largest batch", "wall [s]"});
   for (const auto& s : scenarios) {
-    table.add_row({s.mode, std::to_string(s.runs), std::to_string(s.completed),
+    table.add_row({std::to_string(s.runs), std::to_string(s.completed),
                    TextTable::num(s.latency_p50, 2), TextTable::num(s.latency_p95, 2),
                    std::to_string(s.peak_live), std::to_string(s.cycles),
                    std::to_string(s.largest_batch), TextTable::num(s.wall_seconds, 2)});
@@ -120,7 +112,7 @@ int main() {
   json << "{\n  \"bench\": \"burst\",\n  \"executor_threads\": 2,\n  \"scenarios\": [\n";
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
     const auto& s = scenarios[i];
-    json << "    {\"mode\": \"" << s.mode << "\", \"runs\": " << s.runs
+    json << "    {\"runs\": " << s.runs
          << ", \"completed\": " << s.completed
          << ", \"latency_p50_s\": " << s.latency_p50
          << ", \"latency_p95_s\": " << s.latency_p95
@@ -134,16 +126,9 @@ int main() {
   json << "  ]\n}\n";
   std::cout << "\nwrote " << json_path << "\n";
 
-  std::size_t batch_5k_peak = 0;
-  for (const auto& s : scenarios) {
-    if (s.mode == api::scheduling_mode_name(api::SchedulingMode::kBatch) &&
-        s.runs == 5000) {
-      batch_5k_peak = s.peak_live;
-    }
-  }
   bench::print_comparison(
       "thousands of live runs on two workers",
-      "peak_live >> executor_threads in batch mode (engine decoupling)",
-      std::to_string(batch_5k_peak) + " live runs at 5k burst");
+      "peak_live >> executor_threads (engine decoupling)",
+      std::to_string(scenarios.back().peak_live) + " live runs at 5k burst");
   return 0;
 }

@@ -4,9 +4,7 @@
 // pending queue and scheduling cycles — fired by the queue-size threshold
 // or the timer — assign whole batches through the hybrid scheduler
 // (NSGA-II + MCDM). getSchedulerStats shows the cycles as they happened:
-// batch sizes, queue waits, and the Fig. 9c per-stage timings. The same
-// burst is then replayed in SchedulingMode::kImmediate (the greedy
-// per-task fallback) for comparison.
+// batch sizes, queue waits, and the Fig. 9c per-stage timings.
 
 #include <iostream>
 #include <vector>
@@ -20,15 +18,6 @@
 namespace {
 
 constexpr std::size_t kRuns = 32;
-
-qon::core::QonductorConfig base_config() {
-  qon::core::QonductorConfig config;
-  config.num_qpus = 4;
-  config.seed = 90;
-  config.executor_threads = kRuns;  // the whole burst can park at once
-  config.retention.max_terminal_runs = kRuns + 8;
-  return config;
-}
 
 /// Deploys the burst image and runs the whole burst to completion.
 /// Returns the wall-clock seconds the burst took.
@@ -66,23 +55,26 @@ double run_burst(qon::api::QonductorClient& client) {
 int main() {
   using namespace qon;
 
-  // --- batch mode (the default): cycles assign whole batches ------------------
-  auto batch_config = base_config();
-  batch_config.scheduler_service.queue_threshold = 8;   // fire at 8 pending jobs…
-  batch_config.scheduler_service.max_batch_size = 12;   // …and cap a cycle at 12
-  batch_config.scheduler_service.linger = std::chrono::milliseconds(50);
-  api::QonductorClient batch_client(batch_config);
+  core::QonductorConfig config;
+  config.num_qpus = 4;
+  config.seed = 90;
+  config.executor_threads = kRuns;  // the whole burst can park at once
+  config.retention.max_terminal_runs = kRuns + 8;
+  config.scheduler_service.queue_threshold = 8;   // fire at 8 pending jobs…
+  config.scheduler_service.max_batch_size = 12;   // …and cap a cycle at 12
+  config.scheduler_service.linger = std::chrono::milliseconds(50);
+  api::QonductorClient client(config);
 
-  std::cout << "submitting a burst of " << kRuns << " runs in batch mode...\n";
-  const double batch_wall = run_burst(batch_client);
-  if (batch_wall < 0.0) return 1;
+  std::cout << "submitting a burst of " << kRuns << " runs...\n";
+  const double wall = run_burst(client);
+  if (wall < 0.0) return 1;
 
-  const auto batch_stats = batch_client.getSchedulerStats();
-  if (!batch_stats.ok()) {
-    std::cerr << batch_stats.status().to_string() << "\n";
+  const auto stats_response = client.getSchedulerStats();
+  if (!stats_response.ok()) {
+    std::cerr << stats_response.status().to_string() << "\n";
     return 1;
   }
-  const api::SchedulerStats& stats = batch_stats->stats;
+  const api::SchedulerStats& stats = stats_response->stats;
 
   TextTable cycles({"cycle", "trigger", "batch", "scheduled", "queue after",
                     "mean wait [s]", "optimize [ms]"});
@@ -99,35 +91,16 @@ int main() {
 
   auto waits = stats.recent_queue_waits;
   TextTable summary({"metric", "value"});
-  summary.add_row({"mode", api::scheduling_mode_name(batch_stats->config.mode)});
   summary.add_row({"cycles", std::to_string(stats.cycles)});
   summary.add_row({"jobs scheduled", std::to_string(stats.jobs_scheduled)});
   summary.add_row({"largest batch", std::to_string(stats.max_batch_size_seen)});
   summary.add_row({"queue high watermark", std::to_string(stats.queue_high_watermark)});
   summary.add_row({"queue wait p50 [s]", TextTable::num(percentile(waits, 50.0), 1)});
   summary.add_row({"queue wait p95 [s]", TextTable::num(percentile(waits, 95.0), 1)});
-  summary.print(std::cout, "batch mode");
+  summary.print(std::cout, "burst summary");
 
-  // --- immediate mode: the explicit greedy fallback ---------------------------
-  auto immediate_config = base_config();
-  immediate_config.scheduler_service.mode = core::SchedulingMode::kImmediate;
-  api::QonductorClient immediate_client(immediate_config);
-
-  std::cout << "\nreplaying the burst in immediate mode...\n";
-  const double immediate_wall = run_burst(immediate_client);
-  if (immediate_wall < 0.0) return 1;
-  const auto immediate_stats = immediate_client.getSchedulerStats();
-
-  TextTable compare({"mode", "scheduling cycles", "burst wall time [ms]"});
-  compare.add_row({"batch (default)", std::to_string(stats.cycles),
-                   TextTable::num(batch_wall * 1e3, 0)});
-  compare.add_row({"immediate (fallback)",
-                   std::to_string(immediate_stats.ok() ? immediate_stats->stats.cycles : 0),
-                   TextTable::num(immediate_wall * 1e3, 0)});
-  compare.print(std::cout, "batch vs immediate");
-
-  std::cout << "\nbatch mode dispatched " << stats.jobs_scheduled << " jobs in "
-            << stats.cycles << " hybrid-scheduler cycles; immediate mode ran one "
-            << "greedy single-job cycle per task.\n";
+  std::cout << "\ndispatched " << stats.jobs_scheduled << " jobs in " << stats.cycles
+            << " hybrid-scheduler cycles; the burst took " << TextTable::num(wall * 1e3, 0)
+            << " ms wall.\n";
   return 0;
 }

@@ -244,20 +244,9 @@ struct ReleaseQpuResponse {
 
 // ---- scheduler service (§7 job manager) --------------------------------------
 
-/// How the orchestrator dispatches quantum tasks to the fleet.
-///   kBatch     — the default: tasks queue in the scheduler service and are
-///                assigned per scheduling cycle by the hybrid scheduler
-///                (queue-threshold OR timer trigger, §7).
-///   kImmediate — the pre-batching fallback: each task runs a single-job
-///                scheduling cycle inline and executes straight away.
-enum class SchedulingMode { kBatch, kImmediate };
-
-const char* scheduling_mode_name(SchedulingMode mode);
-
 /// Effective scheduler-service configuration, echoed by getSchedulerStats
 /// so clients can see which knobs a deployment runs with.
 struct SchedulerConfigView {
-  SchedulingMode mode = SchedulingMode::kBatch;
   std::size_t queue_threshold = 0;  ///< trigger: fire at this queue size
   double interval_seconds = 0.0;    ///< trigger: timer on the fleet clock
   std::size_t queue_capacity = 0;   ///< pending-queue bound; 0 = unbounded

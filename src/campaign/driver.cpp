@@ -270,7 +270,6 @@ api::Result<CampaignReport> run_campaign(const CampaignProfile& profile,
   // threshold. Bounded wall-time escape hatch — a stuck stack degrades to
   // nondeterminism instead of hanging the campaign.
   const auto spin_until_depth = [&](std::size_t depth) {
-    if (sched == nullptr) return;
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(10);
     while (sched->queue_depth() != depth &&

@@ -77,7 +77,7 @@ Qonductor::Qonductor(QonductorConfig config)
     // instead of carving out a trust-me exception for the constructor.
     MutexLock lock(engine_mutex_);
     qpu_available_at_.assign(fleet_.backends.size(), 0.0);
-    publish_fleet_state();
+    for (std::size_t q = 0; q < fleet_.backends.size(); ++q) publish_qpu_state(q);
   }
 
   // Registry instruments, registered family-by-family so the Prometheus
@@ -128,7 +128,7 @@ Qonductor::Qonductor(QonductorConfig config)
     init_status_ = api::InvalidArgument(
         "QonductorConfig: fidelity_weight must be in [0, 1]");
   }
-  if (init_status_.ok() && config_.scheduler_service.mode == SchedulingMode::kBatch) {
+  if (init_status_.ok()) {
     sched::SchedulerConfig cycle_config;
     cycle_config.fidelity_weight = config_.fidelity_weight;
     SchedulerServiceHooks hooks;
@@ -263,23 +263,21 @@ void Qonductor::advanceFleetClock(double up_to) {
 void Qonductor::recalibrateFleet() {
   MutexLock lock(engine_mutex_);
   fleet_.recalibrate_all(rng_, fleet_clock_.load(std::memory_order_relaxed));
-  publish_fleet_state();
+  for (std::size_t q = 0; q < fleet_.backends.size(); ++q) publish_qpu_state(q);
 }
 
-void Qonductor::publish_fleet_state() {
-  for (std::size_t q = 0; q < fleet_.backends.size(); ++q) {
-    const auto& backend = *fleet_.backends[q];
-    QpuInfo info;
-    info.name = backend.name();
-    info.qubits = backend.num_qubits();
-    info.queue_wait_seconds = qpu_available_at_[q];
-    info.mean_gate_error_2q = backend.calibration().mean_gate_error_2q();
-    info.calibration_cycle = backend.calibration().cycle;
-    // Health and reservation are owned by set_qpu_online/set_qpu_reserved;
-    // the monitor merges them in atomically so a concurrent reserve or
-    // fault cannot be lost to this republish.
-    monitor_.publish_qpu_dynamic(info);
-  }
+void Qonductor::publish_qpu_state(std::size_t q) {
+  const auto& backend = *fleet_.backends[q];
+  QpuInfo info;
+  info.name = backend.name();
+  info.qubits = backend.num_qubits();
+  info.queue_wait_seconds = qpu_available_at_[q];
+  info.mean_gate_error_2q = backend.calibration().mean_gate_error_2q();
+  info.calibration_cycle = backend.calibration().cycle;
+  // Health and reservation are owned by set_qpu_online/set_qpu_reserved;
+  // the monitor merges them in atomically so a concurrent reserve or fault
+  // cannot be lost to this republish.
+  monitor_.publish_qpu_dynamic(info);
 }
 
 std::vector<sched::QpuState> Qonductor::snapshot_qpu_states_locked(
@@ -391,11 +389,11 @@ api::Status Qonductor::validate_invoke(const api::InvokeRequest& request,
   }
   // Deadline-aware admission: a deadline at/before the fleet-clock
   // frontier is dead on arrival — dispatch happens at or after the
-  // frontier, so such a deadline has zero scheduling slack. Every
-  // dispatch-time check (take_expired, the mid-batch filter, the immediate
-  // path) uses the same inclusive boundary: dispatch exactly at the
-  // deadline is a miss. Rejecting at submit beats parking the job until a
-  // scheduling cycle discovers the miss.
+  // frontier, so such a deadline has zero scheduling slack. Both
+  // dispatch-time checks (take_expired and the mid-batch filter) use the
+  // same inclusive boundary: dispatch exactly at the deadline is a miss.
+  // Rejecting at submit beats parking the job until a scheduling cycle
+  // discovers the miss.
   // Part of validation, so invokeAll stays atomic: one dead-on-arrival
   // deadline rejects the whole batch.
   if (request.preferences.deadline_seconds) {
@@ -715,7 +713,7 @@ api::Result<api::ReserveQpuResponse> Qonductor::reserveQpu(
   // the reservation epoch and its deadline change together: an expiry
   // sweep can never observe (and release) a half-installed reservation.
   // The monitor's own mutex nests inside; the flag flip itself stays
-  // atomic against publish_fleet_state and device-manager health writes.
+  // atomic against publish_qpu_state and device-manager health writes.
   MutexLock lock(reservations_mutex_);
   const auto previous = monitor_.set_qpu_reserved(request.qpu, true);
   if (!previous) {
@@ -1044,23 +1042,20 @@ StepOutcome Qonductor::step_run_impl(const std::shared_ptr<RunContinuation>& con
     ready = std::max(ready, cont->finish[dep]);
   }
   try {
-    if (task.kind == workflow::TaskKind::kQuantum && scheduler_service_) {
-      // Batch path (§7): the task parks in the pending queue with a resume
-      // callback; no worker blocks on the scheduling cycle.
+    if (task.kind == workflow::TaskKind::kQuantum) {
+      // §7: the task parks in the pending queue with a resume callback; no
+      // worker blocks on the scheduling cycle.
       return park_quantum_task(cont, task, ready);
     }
     const double exec_wall_start =
         cont->trace ? telemetry_.tracer().wall_now_us() : 0.0;
-    api::Result<TaskResult> executed = task.kind == workflow::TaskKind::kQuantum
-                                           ? run_quantum_immediate(state, task, ready)
-                                           : run_classical_task(state, task, ready);
+    api::Result<TaskResult> executed = run_classical_task(state, task, ready);
     if (!executed.ok()) {
       return settle_task_failure(cont, task.name, executed.status());
     }
     if (cont->trace) {
       cont->trace->record(telemetry_.tracer().span(
-          task.kind == workflow::TaskKind::kQuantum ? "qpu_exec" : "task_classical",
-          executed->start, executed->end, exec_wall_start,
+          "task_classical", executed->start, executed->end, exec_wall_start,
           "resource=" + executed->resource));
     }
     record_task_result(*cont, node, *std::move(executed));
@@ -1184,7 +1179,8 @@ TaskResult Qonductor::execute_quantum_locked(const workflow::HybridTask& task,
       sig.classical_preprocess_seconds + sig.classical_postprocess_seconds, task.accelerator,
       config_.plan_config.prices);
   advance_fleet_clock(result.end);
-  publish_fleet_state();
+  // Only QPU q's queue wait moved; calibrations change in recalibrateFleet.
+  publish_qpu_state(q);
   return result;
 }
 
@@ -1282,71 +1278,12 @@ StepOutcome Qonductor::park_quantum_task(const std::shared_ptr<RunContinuation>&
     }
   }
   if (pending->settled()) {
-    // cancel() fired between installing the hook and the push, so its
+    // cancel() fired between installing the hook and the offer, so its
     // queue removal was a no-op and we just enqueued a settled ghost:
     // reclaim the slot before it counts toward thresholds/capacity.
     scheduler_service_->remove_pending(pending);
   }
   return StepOutcome::kParked;
-}
-
-api::Result<TaskResult> Qonductor::run_quantum_immediate(
-    const std::shared_ptr<api::RunState>& state, const workflow::HybridTask& task,
-    double ready_at) {
-  const RunId run = state->id;
-  // Effective per-run QoS: fidelity_weight was resolved at invoke().
-  const api::JobPreferences& prefs = state->preferences;
-  const std::shared_ptr<const QuantumTaskPrep> prep = prepare_quantum_task(task);
-  // A root node's ready time is 0: the submission instant bounds the start.
-  double submitted_at = 0.0;
-  {
-    MutexLock lock(state->mutex);
-    submitted_at = state->submitted_at;
-  }
-
-  // A single-job scheduling cycle inline, with queue waits measured
-  // relative to the task's own ready time. Reservation windows expire
-  // against the monotone fleet-clock frontier only — one job's late DAG
-  // ready time must not release a window early for every concurrent run.
-  MutexLock lock(engine_mutex_);
-  expire_reservations(fleet_clock_.load(std::memory_order_relaxed));
-  if (prefs.deadline_seconds) {
-    // Dispatch-time deadline check, mirroring the batch path: dispatch
-    // happens at the fleet frontier (or the task's ready time, whichever
-    // is later), and a task at or past its deadline must not consume a QPU
-    // — dispatching exactly at the deadline leaves zero slack, the same
-    // inclusive boundary the submit-time admission and cycle expiry use.
-    const double dispatch_at =
-        std::max(ready_at, fleet_clock_.load(std::memory_order_relaxed));
-    if (*prefs.deadline_seconds <= dispatch_at) {
-      return api::DeadlineExceeded(
-          "run_quantum_immediate: task '" + task.name + "' missed its deadline (t=" +
-          std::to_string(*prefs.deadline_seconds) + " s, dispatched at t=" +
-          std::to_string(dispatch_at) + " s)");
-    }
-  }
-  sched::SchedulingInput input;
-  input.qpus = snapshot_qpu_states_locked(ready_at);
-  sched::QuantumJob job;
-  job.id = run;
-  job.qubits = task.circ.num_qubits();
-  job.shots = task.shots;
-  job.fidelity_weight = *prefs.fidelity_weight;  // resolved at invoke()
-  job.est_fidelity = prep->est_fidelity;
-  job.est_exec_seconds = prep->est_exec_seconds;
-  input.jobs.push_back(std::move(job));
-
-  sched::SchedulerConfig scheduler;
-  scheduler.fidelity_weight = config_.fidelity_weight;
-  scheduler.nsga2.seed = rng_();
-  const auto decision = sched::schedule_cycle(input, scheduler);
-  if (decision.assignment.empty() || decision.assignment[0] < 0) {
-    return api::ResourceExhausted("run_quantum_immediate: task '" + task.name +
-                                  "' fits no online QPU in the fleet");
-  }
-  return execute_quantum_locked(task, *prep,
-                                static_cast<std::size_t>(decision.assignment[0]),
-                                ready_at, submitted_at);
 }
 
 api::Result<TaskResult> Qonductor::run_classical_task(

@@ -17,19 +17,17 @@
 // run to the event-driven run engine (core/run_engine.hpp) and returns an
 // api::RunHandle immediately. Each run is a RunContinuation stepped one DAG
 // node per event by a small worker pool against the fleet's virtual clock;
-// a batch-mode quantum task parks in the scheduler service with a
-// completion callback instead of blocking a worker, so thousands of
-// in-flight runs ride on executor_threads workers. All error paths on the
-// request/response surface return api::Status — no exception crosses the
-// API boundary.
+// a quantum task parks in the scheduler service with a completion callback
+// instead of blocking a worker, so thousands of in-flight runs ride on
+// executor_threads workers. All error paths on the request/response
+// surface return api::Status — no exception crosses the API boundary.
 //
-// Quantum dispatch is batch-scheduled (§7): by default each quantum task
-// parks in the scheduler service's pending queue, and a dedicated scheduler
-// thread fires scheduling cycles (queue threshold OR timer on the fleet
-// virtual clock) that assign whole batches via the hybrid scheduler.
-// getSchedulerStats exposes the cycle history; SchedulingMode::kImmediate
-// restores the old greedy per-task path. Tasks no online QPU can host fail
-// their run with the typed RESOURCE_EXHAUSTED.
+// Quantum dispatch is batch-scheduled (§7): each quantum task parks in the
+// scheduler service's pending queue, and a dedicated scheduler thread fires
+// scheduling cycles (queue threshold OR timer on the fleet virtual clock)
+// that assign whole batches via the hybrid scheduler. getSchedulerStats
+// exposes the cycle history. Tasks no online QPU can host fail their run
+// with the typed RESOURCE_EXHAUSTED.
 //
 // Every run carries api::JobPreferences (per-job MCDM fidelity weight, an
 // optional fleet-clock deadline, a priority class): batches form in
@@ -81,7 +79,6 @@ using RunId = api::RunId;
 using WorkflowStatus = api::RunStatus;
 using TaskResult = api::TaskResult;
 using WorkflowResult = api::WorkflowResult;
-using SchedulingMode = api::SchedulingMode;
 
 const char* workflow_status_name(WorkflowStatus status);
 
@@ -160,8 +157,8 @@ struct QonductorConfig {
   /// number of in-flight runs — a parked quantum task frees its worker, so
   /// thousands of runs can wait on a scheduling cycle over two workers.
   std::size_t executor_threads = 2;
-  /// The batch-scheduling job manager (mode, trigger thresholds, queue
-  /// bound — see core::SchedulerServiceConfig). Invalid knobs surface as
+  /// The batch-scheduling job manager (trigger thresholds, queue bound —
+  /// see core::SchedulerServiceConfig). Invalid knobs surface as
   /// INVALID_ARGUMENT from invoke(), never as an exception.
   SchedulerServiceConfig scheduler_service;
   /// Front-door overload shedding (see core::AdmissionConfig). Disabled by
@@ -183,7 +180,7 @@ struct QonductorConfig {
 };
 
 /// The orchestrator facade. invoke() is asynchronous: the workflow DAG is
-/// executed on the executor pool, scheduling each task on the fleet / node
+/// executed by the run engine, scheduling each task on the fleet / node
 /// pool and advancing the shared virtual clock under the engine lock.
 /// Concurrent clients are safe: registry, run table, monitor and fleet
 /// clock are each synchronized.
@@ -215,13 +212,14 @@ class Qonductor {
   /// filters; see api::ListRunsRequest.
   api::Result<api::ListRunsResponse> listRuns(const api::ListRunsRequest& request) const;
   /// The scheduler service's effective config and cycle/queue statistics
-  /// (cycle count, batch sizes, queue depth, Fig. 9c stage timings). In
-  /// kImmediate mode the stats are all-zero.
+  /// (cycle count, batch sizes, queue depth, Fig. 9c stage timings). The
+  /// stats are all-zero when the config failed validation.
   api::Result<api::GetSchedulerStatsResponse> getSchedulerStats(
       const api::GetSchedulerStatsRequest& request) const;
   /// The admission gate's counters (accepted/shed per priority class, live
   /// runs against the configured bound) plus the pending queue's capacity-
-  /// waitlist statistics. All-zero waitlist fields in kImmediate mode.
+  /// waitlist statistics. All-zero waitlist fields when the config failed
+  /// validation.
   api::Result<api::GetAdmissionStatsResponse> getAdmissionStats(
       const api::GetAdmissionStatsRequest& request) const;
   /// The retained lifecycle trace of one run: the ordered span set
@@ -296,9 +294,10 @@ class Qonductor {
   /// event. The calibration fingerprint moves, so the transpile/prep cache
   /// invalidates itself on the next run.
   void recalibrateFleet() EXCLUDES(engine_mutex_);
-  /// The batch-scheduling job manager, null in kImmediate mode. Non-const
-  /// like monitor(): owner-level access (tests use it to force shutdown
-  /// interleavings against in-flight runs).
+  /// The batch-scheduling job manager, null when the config failed
+  /// validation (no run can start then). Non-const like monitor():
+  /// owner-level access (tests use it to force shutdown interleavings
+  /// against in-flight runs).
   SchedulerService* schedulerService() { return scheduler_service_.get(); }
   /// The telemetry bundle (registry + tracer) every component records into.
   obs::Telemetry& telemetry() { return telemetry_; }
@@ -339,8 +338,8 @@ class Qonductor {
   /// Advances a run by one DAG node: first event transitions kPending ->
   /// kRunning, a resume event collects the parked quantum task's verdict
   /// and executes on the assigned QPU, otherwise the cursor node runs
-  /// (classical / immediate quantum inline; batch quantum parks). Never
-  /// throws — task failures settle the run kFailed.
+  /// (classical inline; quantum parks). Never throws — task failures
+  /// settle the run kFailed.
   StepOutcome step_run_impl(const std::shared_ptr<RunContinuation>& cont);
   /// Writes the continuation's accumulated result into the run record,
   /// stamps finished_at and makes the run GC-eligible in the run table.
@@ -361,10 +360,6 @@ class Qonductor {
                                 const workflow::HybridTask& task, double ready_at);
   /// Books the finished node into the continuation and advances the cursor.
   void record_task_result(RunContinuation& cont, workflow::TaskId node, TaskResult tr);
-  /// The kImmediate fallback: a single-job scheduling cycle inline.
-  api::Result<TaskResult> run_quantum_immediate(const std::shared_ptr<api::RunState>& state,
-                                                const workflow::HybridTask& task,
-                                                double ready_at);
   api::Result<TaskResult> run_classical_task(const std::shared_ptr<api::RunState>& state,
                                              const workflow::HybridTask& task,
                                              double ready_at);
@@ -374,7 +369,7 @@ class Qonductor {
   /// prep-cache key (a recalibration invalidates all cached preps).
   std::uint64_t calibration_fingerprint() const;
   /// Executes the prepared task on backend `q`. `not_before` floors the
-  /// start time at the dispatching cycle's fire time (0 in immediate mode).
+  /// start time at the dispatching cycle's fire time.
   TaskResult execute_quantum_locked(const workflow::HybridTask& task,
                                     const QuantumTaskPrep& prep, std::size_t q,
                                     double ready_at, double not_before)
@@ -385,11 +380,13 @@ class Qonductor {
       REQUIRES(engine_mutex_);
   /// Releases every windowed reservation whose deadline lies at/before
   /// `now` on the fleet virtual clock. Called right before a scheduling
-  /// snapshot (batch cycle or immediate dispatch), so the snapshotting
-  /// cycle already schedules onto the released QPUs. Acquires
-  /// reservations_mutex_ (inside engine_mutex_ in the hierarchy).
+  /// cycle's snapshot, so the snapshotting cycle already schedules onto the
+  /// released QPUs. Acquires reservations_mutex_ (inside engine_mutex_ in
+  /// the hierarchy).
   void expire_reservations(double now) EXCLUDES(reservations_mutex_);
-  void publish_fleet_state() REQUIRES(engine_mutex_);
+  /// Republishes QPU `q`'s dynamic record (queue wait, calibration) to the
+  /// monitor.
+  void publish_qpu_state(std::size_t q) REQUIRES(engine_mutex_);
   void advance_fleet_clock(double up_to) REQUIRES(engine_mutex_);
 
   QonductorConfig config_;
@@ -402,7 +399,7 @@ class Qonductor {
   std::map<workflow::ImageId, bool> deployed_ GUARDED_BY(registry_mutex_);
   SystemMonitor monitor_;
   /// Owns the run records; mutable because lookups refresh LRU recency.
-  /// Declared before executor_ so in-flight runs can use it during drain.
+  /// Declared before engine_ so in-flight runs can use it during drain.
   mutable RunTable run_table_;
   std::vector<double> qpu_available_at_ GUARDED_BY(engine_mutex_);
   /// Monotone frontier of the virtual clock, advanced by the executor under
@@ -442,10 +439,10 @@ class Qonductor {
   /// returned by invoke()/invokeAll() so bad scheduler knobs surface as a
   /// typed status instead of an exception crossing the API boundary.
   api::Status init_status_;
-  /// The batch-scheduling job manager (null in kImmediate mode or when the
-  /// config failed validation). Declared before engine_: runs draining
-  /// through the engine during destruction still park tasks here — and
-  /// resume through its cycles — so the service must outlive the engine.
+  /// The batch-scheduling job manager (null when the config failed
+  /// validation). Declared before engine_: runs draining through the
+  /// engine during destruction still park tasks here — and resume through
+  /// its cycles — so the service must outlive the engine.
   /// Shared so a parked run's cancel hook can hold a weak reference that
   /// outlives the orchestrator safely.
   std::shared_ptr<SchedulerService> scheduler_service_;

@@ -14,7 +14,6 @@ void PendingQuantumTask::complete(int qpu, double now) {
     done_ = true;
     observer = std::move(on_settled_);
   }
-  cv_.notify_all();
   // Outside the lock: the observer typically posts a run-engine resume
   // event, which may step the run on another thread immediately.
   if (observer) observer();
@@ -30,7 +29,6 @@ void PendingQuantumTask::fail(api::Status status, double now) {
     done_ = true;
     observer = std::move(on_settled_);
   }
-  cv_.notify_all();
   if (observer) observer();
 }
 
@@ -47,11 +45,6 @@ void PendingQuantumTask::on_settled(std::function<void()> callback) {
   callback();
 }
 
-void PendingQuantumTask::await() {
-  MutexLock lock(mutex_);
-  while (!done_) cv_.wait(mutex_);
-}
-
 bool PendingQuantumTask::settled() const {
   MutexLock lock(mutex_);
   return done_;
@@ -63,20 +56,6 @@ std::size_t PendingQueue::size_locked() const {
   std::size_t total = 0;
   for (const auto& lane : lanes_) total += lane.size();
   return total;
-}
-
-bool PendingQueue::push(Item item) {
-  {
-    MutexLock lock(mutex_);
-    while (!closed_ && capacity_ != 0 && size_locked() >= capacity_) {
-      producer_cv_.wait(mutex_);
-    }
-    if (closed_) return false;
-    lanes_[static_cast<std::size_t>(item->priority)].push_back(std::move(item));
-    high_watermark_ = std::max(high_watermark_, size_locked());
-  }
-  consumer_cv_.notify_one();
-  return true;
 }
 
 PendingQueue::Offer PendingQueue::offer(Item item) {
@@ -211,11 +190,10 @@ std::vector<PendingQueue::Item> PendingQueue::take_batch(std::size_t max, double
         lanes_[lane] = std::move(kept);
       }
     }
-    // Refill freed slots from the capacity waitlist before any blocked
-    // producer can race in — waitlisted offers arrived first.
+    // Refill freed slots from the capacity waitlist before a fresh offer
+    // can race in — waitlisted offers arrived first.
     promote_waitlist_locked();
   }
-  producer_cv_.notify_all();
   return batch;
 }
 
@@ -254,7 +232,6 @@ std::vector<PendingQueue::Item> PendingQueue::take_expired(double now) {
     }
     promote_waitlist_locked();
   }
-  if (!expired.empty()) producer_cv_.notify_all();
   return expired;
 }
 
@@ -281,7 +258,6 @@ bool PendingQueue::remove(const Item& item) {
       }
     }
   }
-  if (removed) producer_cv_.notify_all();
   return removed;
 }
 
@@ -294,7 +270,6 @@ void PendingQueue::close() {
     // or typed failure) instead of vanishing with the queue.
     promote_waitlist_locked(/*ignore_capacity=*/true);
   }
-  producer_cv_.notify_all();
   consumer_cv_.notify_all();
 }
 

@@ -1,15 +1,13 @@
 #pragma once
 // The pending-job queue of the scheduler service (§7, Fig. 5): quantum
-// tasks from in-flight runs park here instead of executing immediately, and
-// the scheduler thread drains them in batches when a scheduling cycle
-// fires. The queue is bounded with two producer disciplines: push() blocks
-// while the queue is full (legacy/synchronous producers), while offer() is
-// non-blocking — a full queue parks the item on a capacity waitlist that
-// drains FIFO-by-priority into freed slots, so an engine worker never
-// convoys on a flooded queue. The queue owns the wait primitive the
-// scheduler thread sleeps on: wake on reaching the queue-size threshold, on
-// a linger timeout with work waiting, or on close() for the final shutdown
-// flush.
+// tasks from in-flight runs park here, and the scheduler thread drains
+// them in batches when a scheduling cycle fires. The queue is bounded, and
+// its one producer entry point, offer(), never blocks: a full queue parks
+// the item on a capacity waitlist that drains FIFO-by-priority into freed
+// slots, so an engine worker never convoys on a flooded queue. The queue
+// owns the wait primitive the scheduler thread sleeps on: wake on reaching
+// the queue-size threshold, on a linger timeout with work waiting, or on
+// close() for the final shutdown flush.
 //
 // Batches form in priority order (api::Priority): kInteractive items take
 // a cycle's slots before kStandard, which take them before kBatch — FIFO
@@ -18,10 +16,11 @@
 // take_expired() collects items whose QoS deadline passed so the cycle can
 // fail them DEADLINE_EXCEEDED instead of scheduling them.
 //
-// One producer-side executor thread pushes one PendingQuantumTask per
-// quantum task and blocks on it until the scheduler either assigns a QPU or
-// fails the task (typed api::Status, e.g. RESOURCE_EXHAUSTED when no online
-// QPU fits). There is exactly one consumer — the scheduler thread — so a
+// A run-engine worker offers one PendingQuantumTask per quantum task and
+// registers an on_settled() callback instead of waiting: the scheduler
+// either assigns a QPU or fails the task (typed api::Status, e.g.
+// RESOURCE_EXHAUSTED when no online QPU fits), and the callback resumes the
+// run. There is exactly one consumer — the scheduler thread — so a
 // non-empty queue observed by wait_for_batch() stays non-empty until the
 // following take_batch()/take_expired().
 
@@ -45,20 +44,19 @@ class RunTraceBuffer;  // obs/trace.hpp — opaque here, see `trace` below
 
 namespace qon::core {
 
-/// One quantum task parked between its run's executor and the scheduler
-/// service. The executor fills the request half before push() (the
-/// per-backend estimates are precomputed off-lock so scheduling cycles stay
-/// cheap), blocks in await(), and the first of {complete, fail} wins — a
-/// late completion of a task that was already cancelled or expired is a
-/// no-op.
+/// One quantum task parked between its run and the scheduler service. The
+/// run engine fills the request half before offer() (the per-backend
+/// estimates are precomputed off-lock so scheduling cycles stay cheap) and
+/// registers on_settled(); the first of {complete, fail} wins — a late
+/// completion of a task that was already cancelled or expired is a no-op.
 struct PendingQuantumTask {
-  // ---- request half: written by the executor before push() -------------------
+  // ---- request half: written by the run engine before offer() ---------------
   api::RunId run = 0;
   std::string task_name;
   int qubits = 0;
   int shots = 0;
   double ready_at = 0.0;    ///< DAG-dependency ready time (fleet clock)
-  double enqueued_at = 0.0; ///< fleet clock at push (queue-wait accounting)
+  double enqueued_at = 0.0; ///< fleet clock at offer (queue-wait accounting)
   // Per-job QoS (resolved by the orchestrator against config defaults).
   double fidelity_weight = 0.5;            ///< MCDM preference for this job
   std::optional<double> deadline_seconds;  ///< fleet-clock deadline, if any
@@ -78,29 +76,27 @@ struct PendingQuantumTask {
   double enqueued_wall_us = 0.0;
 
   // ---- completion half: first writer wins ------------------------------------
-  /// Assigns QPU `qpu` at virtual time `now` and wakes the executor.
-  /// No-op if the task already settled (e.g. cancelled while parked).
+  /// Assigns QPU `qpu` at virtual time `now` and fires the settlement
+  /// observer. No-op if the task already settled (e.g. cancelled while
+  /// parked).
   void complete(int qpu, double now);
-  /// Fails the task with `status` at virtual time `now` and wakes the
-  /// executor; the run ends carrying this status. No-op once settled.
+  /// Fails the task with `status` at virtual time `now` and fires the
+  /// settlement observer; the run ends carrying this status. No-op once
+  /// settled.
   void fail(api::Status status, double now);
-  /// Executor side: blocks until complete()/fail(). After it returns,
-  /// assigned_qpu / dispatched_at / error are stable and safe to read
-  /// without the lock.
-  void await();
-  /// Non-blocking alternative to await(): registers an observer invoked
-  /// exactly once, outside the task's lock, by whichever of complete()/
-  /// fail() wins — or immediately in the caller's thread when the task has
-  /// already settled. After it fires, assigned_qpu / dispatched_at / error
-  /// are stable. The run engine uses this to post a resume event instead of
-  /// parking a thread. At most one callback may be registered per task.
+  /// Registers the settlement observer, invoked exactly once, outside the
+  /// task's lock, by whichever of complete()/fail() wins — or immediately
+  /// in the caller's thread when the task has already settled. After it
+  /// fires, assigned_qpu / dispatched_at / error are stable. The run engine
+  /// uses this to post a resume event instead of parking a thread. At most
+  /// one callback may be registered per task.
   void on_settled(std::function<void()> callback);
   /// Whether complete()/fail() already happened. A settled item still
   /// physically queued is skipped by the next cycle.
   bool settled() const;
 
   // The verdict fields are deliberately NOT guarded_by(mutex_): they are
-  // written exactly once, under mutex_, before done_ flips, and the await()/
+  // written exactly once, under mutex_, before done_ flips, and the
   // on_settled() contract (release on the settling unlock, acquire on the
   // reader's lock/callback) makes them stable afterwards — readers access
   // them lock-free only after settlement. Annotating them would force every
@@ -111,7 +107,6 @@ struct PendingQuantumTask {
 
  private:
   mutable Mutex mutex_{LockRank::kPendingTask, "PendingQuantumTask::mutex_"};
-  CondVar cv_;
   /// Armed until settlement fires it (outside mutex_ — it acquires the
   /// run engine's lock).
   std::function<void()> on_settled_ GUARDED_BY(mutex_);
@@ -134,14 +129,9 @@ class PendingQueue {
     kClosed,    ///< closed and empty — no more work will ever arrive
   };
 
-  /// `capacity` bounds the queue; pushes block while it is full. 0 means
-  /// unbounded.
+  /// `capacity` bounds the queue; offers beyond it park on the capacity
+  /// waitlist. 0 means unbounded.
   explicit PendingQueue(std::size_t capacity = 0);
-
-  /// Enqueues `item` in its priority lane, blocking while the queue is at
-  /// capacity. Returns false once close()d — the item was not queued and
-  /// never will be.
-  bool push(Item item);
 
   /// Outcome of a non-blocking offer().
   enum class Offer {
@@ -150,8 +140,8 @@ class PendingQueue {
     kClosed,     ///< the queue was close()d — the item was not accepted
   };
 
-  /// Non-blocking push for engine workers: enqueues when a capacity slot is
-  /// free, otherwise parks the item on the capacity waitlist (it does NOT
+  /// Non-blocking enqueue for engine workers: enqueues when a capacity slot
+  /// is free, otherwise parks the item on the capacity waitlist (it does NOT
   /// count toward size()). Waitlisted items promote into the queue
   /// FIFO-by-priority as take_batch()/take_expired()/remove() free slots —
   /// the caller's on_settled observer fires when a later cycle dispatches
@@ -182,12 +172,12 @@ class PendingQueue {
   std::vector<Item> take_expired(double now);
 
   /// Removes this exact item (pointer identity) if it is still queued or
-  /// waitlisted; false when it was already taken or never pushed. Frees a
+  /// waitlisted; false when it was already taken or never offered. Frees a
   /// capacity slot. The caller settles the item (fail) — the queue does not.
   bool remove(const Item& item);
 
-  /// Stops accepting pushes and wakes every waiter (producers and the
-  /// scheduler). Idempotent.
+  /// Stops accepting offers, promotes the whole waitlist for the final
+  /// flush and wakes the scheduler. Idempotent.
   void close();
   bool closed() const;
 
@@ -207,7 +197,7 @@ class PendingQueue {
   /// Largest waitlist depth ever observed.
   std::size_t waitlist_high_watermark() const;
   /// Total offers that took the waitlist path since construction — the
-  /// "no engine worker ever blocked in push" overload-control statistic.
+  /// overload-control statistic of offers that found the queue full.
   std::uint64_t waitlist_parks() const;
 
   /// Scheduler-side wait. Blocks until the queue holds at least
@@ -231,7 +221,6 @@ class PendingQueue {
 
   const std::size_t capacity_;
   mutable Mutex mutex_{LockRank::kPendingQueue, "PendingQueue::mutex_"};
-  CondVar producer_cv_; ///< producers waiting for space
   CondVar consumer_cv_; ///< the scheduler thread
   Lanes lanes_ GUARDED_BY(mutex_);
   std::size_t high_watermark_ GUARDED_BY(mutex_) = 0;

@@ -24,8 +24,8 @@
 //
 // shutdown() drains: the queue is closed, one final flush cycle dispatches
 // everything still parked, and only then is the scheduler thread joined.
-// The orchestrator shuts the service down after its executor pool, so runs
-// draining through the pool can still get their tasks scheduled.
+// The orchestrator shuts the service down after its run engine, so runs
+// draining through the engine can still get their tasks scheduled.
 
 #include <chrono>
 #include <cstddef>
@@ -52,12 +52,12 @@ namespace qon::core {
 /// INVALID_ARGUMENT through the API instead of the ScheduleTrigger
 /// constructor's std::invalid_argument crossing the boundary.
 struct SchedulerServiceConfig {
-  api::SchedulingMode mode = api::SchedulingMode::kBatch;
   /// ScheduleTrigger: fire when the pending queue reaches this size…
   std::size_t queue_threshold = 100;
   /// …or when this many virtual seconds passed since the last cycle.
   double interval_seconds = 120.0;
-  /// Pending-queue bound; producers block while it is full. 0 = unbounded.
+  /// Pending-queue bound; offers beyond it park on the capacity waitlist.
+  /// 0 = unbounded.
   std::size_t queue_capacity = 4096;
   /// Max jobs per cycle; the surplus stays queued for the next cycle.
   /// 0 = schedule the whole queue at once.
@@ -102,7 +102,7 @@ struct SchedulerServiceHooks {
 };
 
 /// The job manager: owns the pending queue, the trigger and the scheduler
-/// thread. Thread-safe: any number of producers enqueue; stats() may be
+/// thread. Thread-safe: any number of producers offer; stats() may be
 /// called concurrently from query paths.
 class SchedulerService {
  public:
@@ -126,15 +126,10 @@ class SchedulerService {
   SchedulerService(const SchedulerService&) = delete;
   SchedulerService& operator=(const SchedulerService&) = delete;
 
-  /// Hands a prepared task to the scheduler; blocks while the queue is at
-  /// capacity. False when the service is shutting down (the task was not
-  /// queued and never will be).
-  bool enqueue(const std::shared_ptr<PendingQuantumTask>& task);
-
-  /// Non-blocking enqueue for engine workers: a full queue parks the task
-  /// on the capacity waitlist (promoted FIFO-by-priority as cycles free
-  /// slots) instead of blocking the calling thread. kClosed means the
-  /// service is shutting down and the task was not accepted.
+  /// Hands a prepared task to the scheduler without blocking: a full queue
+  /// parks the task on the capacity waitlist (promoted FIFO-by-priority as
+  /// cycles free slots). kClosed means the service is shutting down and the
+  /// task was not accepted.
   PendingQueue::Offer offer(const std::shared_ptr<PendingQuantumTask>& task);
 
   /// Capacity-waitlist introspection for getAdmissionStats.

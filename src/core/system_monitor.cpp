@@ -14,9 +14,9 @@ std::string serialize_qpu(const QpuInfo& info) {
   // Full round-trip precision: queue waits are absolute virtual instants,
   // which outgrow the default 6 significant digits within a simulated day.
   oss << std::setprecision(std::numeric_limits<double>::max_digits10) << info.qubits
-      << "|" << info.queue_length << "|" << info.queue_wait_seconds << "|"
-      << info.mean_gate_error_2q << "|" << info.calibration_cycle << "|"
-      << (info.online ? 1 : 0) << "|" << (info.reserved ? 1 : 0);
+      << "|" << info.queue_wait_seconds << "|" << info.mean_gate_error_2q << "|"
+      << info.calibration_cycle << "|" << (info.online ? 1 : 0) << "|"
+      << (info.reserved ? 1 : 0);
   return oss.str();
 }
 
@@ -27,9 +27,9 @@ std::optional<QpuInfo> deserialize_qpu(const std::string& name, const std::strin
   int online = 1;
   int reserved = 0;
   std::istringstream in(data);
-  if (!(in >> info.qubits >> sep >> info.queue_length >> sep >> info.queue_wait_seconds >>
-        sep >> info.mean_gate_error_2q >> sep >> info.calibration_cycle >> sep >> online >>
-        sep >> reserved)) {
+  if (!(in >> info.qubits >> sep >> info.queue_wait_seconds >> sep >>
+        info.mean_gate_error_2q >> sep >> info.calibration_cycle >> sep >> online >> sep >>
+        reserved)) {
     return std::nullopt;
   }
   info.online = online != 0;

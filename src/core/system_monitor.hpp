@@ -20,7 +20,6 @@ namespace qon::core {
 struct QpuInfo {
   std::string name;
   int qubits = 0;
-  std::size_t queue_length = 0;
   double queue_wait_seconds = 0.0;
   double mean_gate_error_2q = 0.0;
   std::uint64_t calibration_cycle = 0;

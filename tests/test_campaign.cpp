@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -589,6 +590,15 @@ TEST(ObsDelta, CountersSubtractGaugesPassThrough) {
 
 // ---- Bounded-ring drop counters (no silent caps) -----------------------------
 
+/// Blocks until `task` settles, through its one settlement observer. The
+/// promise is shared with the observer so it outlives set_value().
+void wait_settled(const std::shared_ptr<core::PendingQuantumTask>& task) {
+  auto settled = std::make_shared<std::promise<void>>();
+  std::future<void> done = settled->get_future();
+  task->on_settled([settled] { settled->set_value(); });
+  done.wait();
+}
+
 TEST(CampaignDropCounters, TraceSpanRingOverflowIsCounted) {
   obs::TelemetryConfig config;
   config.trace_spans_per_run = 1;
@@ -629,8 +639,8 @@ TEST(CampaignDropCounters, CycleHistoryEvictionIsCounted) {
     task->shots = 100;
     task->est_fidelity.assign(1, 0.9);
     task->est_exec_seconds.assign(1, 2.0);
-    ASSERT_TRUE(service.enqueue(task));
-    task->await();
+    ASSERT_EQ(service.offer(task), core::PendingQueue::Offer::kQueued);
+    wait_settled(task);
     ASSERT_TRUE(task->error.ok()) << task->error.to_string();
   }
   EXPECT_EQ(service.stats().recent_cycles.size(), 1u);

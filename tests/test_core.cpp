@@ -25,7 +25,6 @@ TEST_P(SystemMonitorBackend, QpuRoundTrip) {
   QpuInfo info;
   info.name = "mumbai";
   info.qubits = 27;
-  info.queue_length = 12;
   // An absolute virtual instant past a simulated day needs more than the
   // default stream precision's 6 significant digits to survive.
   info.queue_wait_seconds = 123456.78;
@@ -36,7 +35,6 @@ TEST_P(SystemMonitorBackend, QpuRoundTrip) {
   ASSERT_TRUE(read.has_value());
   EXPECT_EQ(read->name, "mumbai");
   EXPECT_EQ(read->qubits, 27);
-  EXPECT_EQ(read->queue_length, 12u);
   EXPECT_EQ(read->queue_wait_seconds, 123456.78);
   EXPECT_EQ(read->mean_gate_error_2q, 0.011);
   EXPECT_EQ(read->calibration_cycle, 7u);
@@ -137,6 +135,39 @@ TEST_F(OrchestratorFixture, PublishesFleetToMonitor) {
   const auto info = orchestrator.monitor().qpu(orchestrator.fleet().backends[0]->name());
   ASSERT_TRUE(info.has_value());
   EXPECT_EQ(info->qubits, 27);
+}
+
+// Executing a task moves only its QPU's queue wait: that record is
+// republished with the task's end, every other record stays as it was.
+TEST_F(OrchestratorFixture, RunRepublishesOnlyTheExecutedQpu) {
+  Qonductor orchestrator(small_config());
+  SystemMonitor& monitor = orchestrator.monitor();
+  std::vector<QpuInfo> before;
+  for (const auto& name : monitor.qpu_names()) before.push_back(*monitor.qpu(name));
+  const auto image = create(orchestrator, "one-task",
+                            {workflow::HybridTask::quantum("ghz", circuit::ghz(3), 500)});
+  deploy(orchestrator, image);
+  const auto result = invoke_and_wait(orchestrator, image);
+  ASSERT_EQ(result.status, WorkflowStatus::kCompleted);
+  ASSERT_EQ(result.tasks.size(), 1u);
+  const TaskResult& task = result.tasks[0];
+  ASSERT_GT(task.end, 0.0);
+
+  std::size_t executed = 0;
+  for (const QpuInfo& old : before) {
+    SCOPED_TRACE(old.name);
+    const auto now = monitor.qpu(old.name);
+    ASSERT_TRUE(now.has_value());
+    const bool ran_here = old.name == task.resource;
+    executed += ran_here ? 1 : 0;
+    EXPECT_EQ(now->queue_wait_seconds, ran_here ? task.end : old.queue_wait_seconds);
+    EXPECT_EQ(now->qubits, old.qubits);
+    EXPECT_EQ(now->mean_gate_error_2q, old.mean_gate_error_2q);
+    EXPECT_EQ(now->calibration_cycle, old.calibration_cycle);
+    EXPECT_EQ(now->online, old.online);
+    EXPECT_EQ(now->reserved, old.reserved);
+  }
+  EXPECT_EQ(executed, 1u);
 }
 
 TEST_F(OrchestratorFixture, CreateDeployInvokeLifecycle) {

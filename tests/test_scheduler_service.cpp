@@ -4,12 +4,13 @@
 // surfacing as typed INVALID_ARGUMENT, and the batch-scheduling serving
 // path end to end — a burst of concurrent invoke()s dispatched in multiple
 // hybrid-scheduler cycles, observed through getSchedulerStats and the
-// on_task_start observer, with the kImmediate fallback kept working.
+// on_task_start observer.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <map>
 #include <memory>
 #include <string>
@@ -25,6 +26,19 @@ namespace qon::core {
 namespace {
 
 using namespace std::chrono_literals;
+
+constexpr auto kQueued = PendingQueue::Offer::kQueued;
+constexpr auto kWaitlisted = PendingQueue::Offer::kWaitlisted;
+constexpr auto kClosed = PendingQueue::Offer::kClosed;
+
+/// Blocks until `task` settles, through its one settlement observer. The
+/// promise is shared with the observer so it outlives set_value().
+void wait_settled(const std::shared_ptr<PendingQuantumTask>& task) {
+  auto settled = std::make_shared<std::promise<void>>();
+  std::future<void> done = settled->get_future();
+  task->on_settled([settled] { settled->set_value(); });
+  done.wait();
+}
 
 std::shared_ptr<PendingQuantumTask> make_task(
     api::RunId run, int qubits, std::size_t num_qpus,
@@ -44,7 +58,7 @@ std::shared_ptr<PendingQuantumTask> make_task(
 
 TEST(PendingQueue, FifoOrderAndBatchCap) {
   PendingQueue queue;
-  for (api::RunId r = 1; r <= 5; ++r) queue.push(make_task(r, 4, 2));
+  for (api::RunId r = 1; r <= 5; ++r) EXPECT_EQ(queue.offer(make_task(r, 4, 2)), kQueued);
   EXPECT_EQ(queue.size(), 5u);
   EXPECT_EQ(queue.high_watermark(), 5u);
 
@@ -60,47 +74,12 @@ TEST(PendingQueue, FifoOrderAndBatchCap) {
   EXPECT_EQ(queue.high_watermark(), 5u);  // watermark survives the drain
 }
 
-TEST(PendingQueue, BoundedPushBlocksUntilTake) {
-  PendingQueue queue(2);
-  EXPECT_TRUE(queue.push(make_task(1, 4, 2)));
-  EXPECT_TRUE(queue.push(make_task(2, 4, 2)));
-
-  std::atomic<bool> pushed{false};
-  std::thread producer([&] {
-    EXPECT_TRUE(queue.push(make_task(3, 4, 2)));  // blocks: queue is full
-    pushed.store(true);
-  });
-  std::this_thread::sleep_for(20ms);
-  EXPECT_FALSE(pushed.load());  // still parked on the capacity bound
-
-  auto batch = queue.take_batch(1);  // frees one slot
-  producer.join();
-  EXPECT_TRUE(pushed.load());
-  EXPECT_EQ(queue.size(), 2u);
-}
-
-TEST(PendingQueue, CloseRejectsPushesAndWakesBlockedProducers) {
-  PendingQueue queue(1);
-  EXPECT_TRUE(queue.push(make_task(1, 4, 2)));
-
-  std::thread producer([&] {
-    EXPECT_FALSE(queue.push(make_task(2, 4, 2)));  // blocked, then rejected
-  });
-  std::this_thread::sleep_for(10ms);
-  queue.close();
-  producer.join();
-
-  EXPECT_TRUE(queue.closed());
-  EXPECT_FALSE(queue.push(make_task(3, 4, 2)));
-  EXPECT_EQ(queue.size(), 1u);  // the pre-close item is still drainable
-}
-
 TEST(PendingQueue, BatchesFormInPriorityOrder) {
   PendingQueue queue;
-  queue.push(make_task(1, 4, 2, api::Priority::kBatch));
-  queue.push(make_task(2, 4, 2, api::Priority::kInteractive));
-  queue.push(make_task(3, 4, 2, api::Priority::kStandard));
-  queue.push(make_task(4, 4, 2, api::Priority::kInteractive));
+  EXPECT_EQ(queue.offer(make_task(1, 4, 2, api::Priority::kBatch)), kQueued);
+  EXPECT_EQ(queue.offer(make_task(2, 4, 2, api::Priority::kInteractive)), kQueued);
+  EXPECT_EQ(queue.offer(make_task(3, 4, 2, api::Priority::kStandard)), kQueued);
+  EXPECT_EQ(queue.offer(make_task(4, 4, 2, api::Priority::kInteractive)), kQueued);
 
   auto first = queue.take_batch(2);
   ASSERT_EQ(first.size(), 2u);
@@ -124,7 +103,7 @@ TEST(PendingQueue, AgingPromotesLongWaitingJobsExactlyOneLane) {
   auto inter_fresh = make_task(4, 4, 2, api::Priority::kInteractive);
   inter_fresh->enqueued_at = 90.0;
   for (const auto& task : {batch_old, std_old, std_fresh, inter_fresh}) {
-    queue.push(task);
+    EXPECT_EQ(queue.offer(task), kQueued);
   }
 
   // At t=100 with a 30 s budget: std_old is promoted to the interactive
@@ -141,8 +120,8 @@ TEST(PendingQueue, AgingPromotesLongWaitingJobsExactlyOneLane) {
   EXPECT_EQ(rest[1]->run, 3u);  // native standard
 
   // aging_seconds = 0 disables the rule: strict priority order.
-  queue.push(batch_old);
-  queue.push(inter_fresh);
+  EXPECT_EQ(queue.offer(batch_old), kQueued);
+  EXPECT_EQ(queue.offer(inter_fresh), kQueued);
   auto strict = queue.take_batch(0, 100.0, 0.0);
   ASSERT_EQ(strict.size(), 2u);
   EXPECT_EQ(strict[0]->run, 4u);
@@ -156,9 +135,9 @@ TEST(PendingQueue, TakeExpiredPullsOnlyOverdueDeadlines) {
   auto future = make_task(2, 4, 2);
   future->deadline_seconds = 50.0;
   auto no_deadline = make_task(3, 4, 2);
-  queue.push(overdue);
-  queue.push(future);
-  queue.push(no_deadline);
+  EXPECT_EQ(queue.offer(overdue), kQueued);
+  EXPECT_EQ(queue.offer(future), kQueued);
+  EXPECT_EQ(queue.offer(no_deadline), kQueued);
 
   auto expired = queue.take_expired(10.0);
   ASSERT_EQ(expired.size(), 1u);
@@ -179,62 +158,51 @@ TEST(PendingQueue, RemoveFreesSlotAndIgnoresUnknownItems) {
   PendingQueue queue(2);
   auto a = make_task(1, 4, 2);
   auto b = make_task(2, 4, 2);
-  queue.push(a);
-  queue.push(b);
+  EXPECT_EQ(queue.offer(a), kQueued);
+  EXPECT_EQ(queue.offer(b), kQueued);
   EXPECT_TRUE(queue.remove(a));
   EXPECT_FALSE(queue.remove(a));  // already gone
   EXPECT_EQ(queue.size(), 1u);
-  EXPECT_TRUE(queue.push(make_task(3, 4, 2)));  // the capacity slot was freed
+  EXPECT_EQ(queue.offer(make_task(3, 4, 2)), kQueued);  // the capacity slot was freed
   auto batch = queue.take_batch(0);
   ASSERT_EQ(batch.size(), 2u);
   EXPECT_EQ(batch[0]->run, 2u);
 }
 
-// All three drain paths — take_batch, take_expired, remove — must free a
-// capacity slot for a blocked producer, and none may distort the
-// high-watermark statistic past the bound.
-TEST(PendingQueue, BoundedPushFreedByTakeExpired) {
+// All three drain paths — take_batch, take_expired, remove — must promote
+// a waitlisted offer into the capacity slot they free, and none may push
+// the high-watermark statistic past the bound.
+TEST(PendingQueue, EveryDrainPathPromotesTheWaitlist) {
   PendingQueue queue(2);
   auto overdue = make_task(1, 4, 2);
   overdue->deadline_seconds = 5.0;
-  queue.push(overdue);
-  queue.push(make_task(2, 4, 2));
-
-  std::atomic<bool> pushed{false};
-  std::thread producer([&] {
-    EXPECT_TRUE(queue.push(make_task(3, 4, 2)));  // blocks: queue is full
-    pushed.store(true);
-  });
-  std::this_thread::sleep_for(20ms);
-  EXPECT_FALSE(pushed.load());
+  auto cancelled = make_task(2, 4, 2);
+  EXPECT_EQ(queue.offer(overdue), kQueued);
+  EXPECT_EQ(queue.offer(cancelled), kQueued);
+  for (api::RunId r = 3; r <= 5; ++r) {
+    EXPECT_EQ(queue.offer(make_task(r, 4, 2)), kWaitlisted);  // queue is full
+  }
 
   auto expired = queue.take_expired(10.0);  // frees the overdue job's slot
   ASSERT_EQ(expired.size(), 1u);
-  producer.join();
-  EXPECT_TRUE(pushed.load());
   EXPECT_EQ(queue.size(), 2u);
-  EXPECT_EQ(queue.high_watermark(), 2u);  // never exceeded the bound
-}
-
-TEST(PendingQueue, BoundedPushFreedByRemove) {
-  PendingQueue queue(2);
-  auto cancelled = make_task(1, 4, 2);
-  queue.push(cancelled);
-  queue.push(make_task(2, 4, 2));
-
-  std::atomic<bool> pushed{false};
-  std::thread producer([&] {
-    EXPECT_TRUE(queue.push(make_task(3, 4, 2)));  // blocks: queue is full
-    pushed.store(true);
-  });
-  std::this_thread::sleep_for(20ms);
-  EXPECT_FALSE(pushed.load());
+  EXPECT_EQ(queue.waitlist_depth(), 2u);  // run 3 took the slot
 
   EXPECT_TRUE(queue.remove(cancelled));  // the cancellation path frees a slot
-  producer.join();
-  EXPECT_TRUE(pushed.load());
   EXPECT_EQ(queue.size(), 2u);
-  EXPECT_EQ(queue.high_watermark(), 2u);
+  EXPECT_EQ(queue.waitlist_depth(), 1u);  // run 4 took it
+
+  auto batch = queue.take_batch(1);  // a capped cycle frees one slot
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch[0]->run, 3u);
+  EXPECT_EQ(queue.size(), 2u);
+  EXPECT_EQ(queue.waitlist_depth(), 0u);  // run 5 took it
+  auto rest = queue.take_batch(0);
+  ASSERT_EQ(rest.size(), 2u);
+  EXPECT_EQ(rest[0]->run, 4u);
+  EXPECT_EQ(rest[1]->run, 5u);
+  EXPECT_EQ(queue.high_watermark(), 2u);  // never exceeded the bound
+  EXPECT_EQ(queue.waitlist_parks(), 3u);
 }
 
 TEST(PendingQueue, HighWatermarkStableAcrossAllDrainPaths) {
@@ -242,9 +210,9 @@ TEST(PendingQueue, HighWatermarkStableAcrossAllDrainPaths) {
   auto expiring = make_task(1, 4, 2);
   expiring->deadline_seconds = 1.0;
   auto removable = make_task(2, 4, 2);
-  queue.push(expiring);
-  queue.push(removable);
-  queue.push(make_task(3, 4, 2));
+  EXPECT_EQ(queue.offer(expiring), kQueued);
+  EXPECT_EQ(queue.offer(removable), kQueued);
+  EXPECT_EQ(queue.offer(make_task(3, 4, 2)), kQueued);
   EXPECT_EQ(queue.high_watermark(), 3u);
 
   EXPECT_EQ(queue.take_expired(2.0).size(), 1u);
@@ -258,11 +226,11 @@ TEST(PendingQueue, HighWatermarkStableAcrossAllDrainPaths) {
 
 TEST(PendingQueue, OfferQueuesWithCapacityAndWaitlistsWhenFull) {
   PendingQueue queue(2);
-  EXPECT_EQ(queue.offer(make_task(1, 4, 2)), PendingQueue::Offer::kQueued);
-  EXPECT_EQ(queue.offer(make_task(2, 4, 2)), PendingQueue::Offer::kQueued);
+  EXPECT_EQ(queue.offer(make_task(1, 4, 2)), kQueued);
+  EXPECT_EQ(queue.offer(make_task(2, 4, 2)), kQueued);
   // Full: the third offer returns immediately instead of blocking, parked
   // on the waitlist — it does NOT count toward size().
-  EXPECT_EQ(queue.offer(make_task(3, 4, 2)), PendingQueue::Offer::kWaitlisted);
+  EXPECT_EQ(queue.offer(make_task(3, 4, 2)), kWaitlisted);
   EXPECT_EQ(queue.size(), 2u);
   EXPECT_EQ(queue.waitlist_depth(), 1u);
   EXPECT_EQ(queue.waitlist_parks(), 1u);
@@ -288,14 +256,10 @@ TEST(PendingQueue, WaitlistPromotesFifoByPriority) {
   queue.offer(make_task(1, 4, 2));
   queue.offer(make_task(2, 4, 2));
   // Waitlisted in arrival order: batch, interactive, interactive, standard.
-  EXPECT_EQ(queue.offer(make_task(3, 4, 2, api::Priority::kBatch)),
-            PendingQueue::Offer::kWaitlisted);
-  EXPECT_EQ(queue.offer(make_task(4, 4, 2, api::Priority::kInteractive)),
-            PendingQueue::Offer::kWaitlisted);
-  EXPECT_EQ(queue.offer(make_task(5, 4, 2, api::Priority::kInteractive)),
-            PendingQueue::Offer::kWaitlisted);
-  EXPECT_EQ(queue.offer(make_task(6, 4, 2, api::Priority::kStandard)),
-            PendingQueue::Offer::kWaitlisted);
+  EXPECT_EQ(queue.offer(make_task(3, 4, 2, api::Priority::kBatch)), kWaitlisted);
+  EXPECT_EQ(queue.offer(make_task(4, 4, 2, api::Priority::kInteractive)), kWaitlisted);
+  EXPECT_EQ(queue.offer(make_task(5, 4, 2, api::Priority::kInteractive)), kWaitlisted);
+  EXPECT_EQ(queue.offer(make_task(6, 4, 2, api::Priority::kStandard)), kWaitlisted);
   EXPECT_EQ(queue.waitlist_depth(), 4u);
   EXPECT_EQ(queue.waitlist_high_watermark(), 4u);
 
@@ -321,7 +285,7 @@ TEST(PendingQueue, TakeExpiredSweepsTheWaitlistToo) {
   queue.offer(make_task(1, 4, 2));
   auto waitlisted = make_task(2, 4, 2);
   waitlisted->deadline_seconds = 5.0;
-  EXPECT_EQ(queue.offer(waitlisted), PendingQueue::Offer::kWaitlisted);
+  EXPECT_EQ(queue.offer(waitlisted), kWaitlisted);
 
   // The waitlisted job's deadline passes while it waits for a capacity
   // slot: the expiry sweep must find it there, not only in the queue.
@@ -336,7 +300,7 @@ TEST(PendingQueue, RemovePullsWaitlistedItem) {
   PendingQueue queue(1);
   queue.offer(make_task(1, 4, 2));
   auto waitlisted = make_task(2, 4, 2);
-  EXPECT_EQ(queue.offer(waitlisted), PendingQueue::Offer::kWaitlisted);
+  EXPECT_EQ(queue.offer(waitlisted), kWaitlisted);
 
   // A cancelled run's task leaves the waitlist sideways, exactly like a
   // queued task leaves the queue.
@@ -349,9 +313,10 @@ TEST(PendingQueue, RemovePullsWaitlistedItem) {
 TEST(PendingQueue, ClosePromotesWaitlistIntoTheFinalFlush) {
   PendingQueue queue(1);
   queue.offer(make_task(1, 4, 2));
-  EXPECT_EQ(queue.offer(make_task(2, 4, 2)), PendingQueue::Offer::kWaitlisted);
+  EXPECT_EQ(queue.offer(make_task(2, 4, 2)), kWaitlisted);
 
   queue.close();
+  EXPECT_TRUE(queue.closed());
   // The flush drain must see BOTH items: a waitlisted task still needs its
   // terminal verdict, so close() promotes past the capacity bound.
   EXPECT_EQ(queue.waitlist_depth(), 0u);
@@ -361,7 +326,7 @@ TEST(PendingQueue, ClosePromotesWaitlistIntoTheFinalFlush) {
   EXPECT_EQ(queue.wait_for_batch(100, 10s), PendingQueue::Wake::kClosed);
 
   // And after close, offers are rejected outright.
-  EXPECT_EQ(queue.offer(make_task(3, 4, 2)), PendingQueue::Offer::kClosed);
+  EXPECT_EQ(queue.offer(make_task(3, 4, 2)), kClosed);
 }
 
 TEST(PendingQueue, OldestWaitTracksTheStalestParkedItem) {
@@ -377,7 +342,7 @@ TEST(PendingQueue, OldestWaitTracksTheStalestParkedItem) {
   // of a slot is exactly the wait the gauge exists to expose.
   auto waitlisted = make_task(2, 4, 2);
   waitlisted->enqueued_at = 4.0;
-  EXPECT_EQ(queue.offer(waitlisted), PendingQueue::Offer::kWaitlisted);
+  EXPECT_EQ(queue.offer(waitlisted), kWaitlisted);
   EXPECT_DOUBLE_EQ(queue.oldest_wait_seconds(100.0), 96.0);
 
   // Draining the queue promotes the waitlisted item; it is now the only —
@@ -392,9 +357,12 @@ TEST(PendingQueue, OldestWaitTracksTheStalestParkedItem) {
 
 TEST(PendingQueue, FirstSettlementWins) {
   auto task = make_task(1, 4, 2);
+  int observed = 0;
+  task->on_settled([&observed] { ++observed; });
+  EXPECT_EQ(observed, 0);
   task->fail(api::Cancelled("cancelled while parked"), 1.0);
   task->complete(0, 2.0);  // a racing cycle completion must be a no-op
-  task->await();
+  EXPECT_EQ(observed, 1);  // the observer fires once, for the winner
   EXPECT_TRUE(task->settled());
   EXPECT_EQ(task->error.code(), api::StatusCode::kCancelled);
   EXPECT_LT(task->assigned_qpu, 0);
@@ -404,7 +372,7 @@ TEST(PendingQueue, FirstSettlementWins) {
 TEST(PendingQueue, WaitWakesOnThreshold) {
   PendingQueue queue;
   std::thread producer([&] {
-    for (api::RunId r = 1; r <= 3; ++r) queue.push(make_task(r, 4, 2));
+    for (api::RunId r = 1; r <= 3; ++r) EXPECT_EQ(queue.offer(make_task(r, 4, 2)), kQueued);
   });
   const auto wake = queue.wait_for_batch(3, 10s);
   producer.join();
@@ -414,7 +382,7 @@ TEST(PendingQueue, WaitWakesOnThreshold) {
 
 TEST(PendingQueue, WaitWakesOnLingerWithSubThresholdBatch) {
   PendingQueue queue;
-  queue.push(make_task(1, 4, 2));
+  EXPECT_EQ(queue.offer(make_task(1, 4, 2)), kQueued);
   const auto wake = queue.wait_for_batch(100, 10ms);
   EXPECT_EQ(wake, PendingQueue::Wake::kLinger);
   EXPECT_EQ(queue.size(), 1u);  // single consumer: nothing vanished
@@ -422,7 +390,7 @@ TEST(PendingQueue, WaitWakesOnLingerWithSubThresholdBatch) {
 
 TEST(PendingQueue, WaitReportsFlushThenClosed) {
   PendingQueue queue;
-  queue.push(make_task(1, 4, 2));
+  EXPECT_EQ(queue.offer(make_task(1, 4, 2)), kQueued);
   queue.close();
   EXPECT_EQ(queue.wait_for_batch(100, 10s), PendingQueue::Wake::kFlush);
   queue.take_batch(0);
@@ -467,10 +435,10 @@ TEST(SchedulerService, ThresholdCycleFiresWithoutTimer) {
 
   auto a = make_task(1, 4, 2);
   auto b = make_task(2, 4, 2);
-  ASSERT_TRUE(service.enqueue(a));
-  ASSERT_TRUE(service.enqueue(b));
-  a->await();
-  b->await();
+  ASSERT_EQ(service.offer(a), kQueued);
+  ASSERT_EQ(service.offer(b), kQueued);
+  wait_settled(a);
+  wait_settled(b);
 
   EXPECT_TRUE(a->error.ok()) << a->error.to_string();
   EXPECT_TRUE(b->error.ok()) << b->error.to_string();
@@ -496,8 +464,8 @@ TEST(SchedulerService, TimerCycleAdvancesTheVirtualClockToTheDeadline) {
   SchedulerService service(config, 7, {}, engine.hooks());
 
   auto task = make_task(1, 4, 2);
-  ASSERT_TRUE(service.enqueue(task));
-  task->await();
+  ASSERT_EQ(service.offer(task), kQueued);
+  wait_settled(task);
 
   EXPECT_TRUE(task->error.ok()) << task->error.to_string();
   // The linger elapsed in real time, so the cycle fired as the virtual
@@ -522,12 +490,12 @@ TEST(SchedulerService, ShutdownFlushesTheFinalCycle) {
   std::vector<std::shared_ptr<PendingQuantumTask>> tasks;
   for (api::RunId r = 1; r <= 3; ++r) {
     tasks.push_back(make_task(r, 4, 2));
-    ASSERT_TRUE(service.enqueue(tasks.back()));
+    ASSERT_EQ(service.offer(tasks.back()), kQueued);
   }
   service.shutdown();  // must drain: close, flush one final cycle, join
 
   for (const auto& task : tasks) {
-    task->await();  // already complete — returns immediately
+    wait_settled(task);  // already settled: returns at once
     EXPECT_TRUE(task->error.ok()) << task->error.to_string();
     EXPECT_GE(task->assigned_qpu, 0);
   }
@@ -537,7 +505,7 @@ TEST(SchedulerService, ShutdownFlushesTheFinalCycle) {
   ASSERT_EQ(stats.recent_cycles.size(), 1u);
   // The drain is reported as a flush, not mislabeled as timer/threshold.
   EXPECT_EQ(stats.recent_cycles[0].trigger, api::CycleTrigger::kFlush);
-  EXPECT_FALSE(service.enqueue(make_task(9, 4, 2)));  // closed for good
+  EXPECT_EQ(service.offer(make_task(9, 4, 2)), kClosed);  // closed for good
 }
 
 // The QoS-deadline acceptance scenario at the service level: a job parked
@@ -555,10 +523,10 @@ TEST(SchedulerService, DeadlineExpiredParkedJobFailsAtCycleStart) {
   expired->deadline_seconds = 10.0;  // passes before the timer cycle
   auto alive = make_task(2, 4, 2);
   alive->deadline_seconds = 120.0;  // still good at t=60
-  ASSERT_TRUE(service.enqueue(expired));
-  ASSERT_TRUE(service.enqueue(alive));
-  expired->await();
-  alive->await();
+  ASSERT_EQ(service.offer(expired), kQueued);
+  ASSERT_EQ(service.offer(alive), kQueued);
+  wait_settled(expired);
+  wait_settled(alive);
 
   EXPECT_EQ(expired->error.code(), api::StatusCode::kDeadlineExceeded);
   EXPECT_LT(expired->assigned_qpu, 0);  // no QPU consumed
@@ -591,8 +559,8 @@ TEST(SchedulerService, PriorityOrderIsolatesQueueWaits) {
   auto b2 = make_task(2, 4, 2, api::Priority::kBatch);
   auto i1 = make_task(3, 4, 2, api::Priority::kInteractive);
   auto i2 = make_task(4, 4, 2, api::Priority::kInteractive);
-  for (const auto& task : {b1, b2, i1, i2}) ASSERT_TRUE(service.enqueue(task));
-  for (const auto& task : {b1, b2, i1, i2}) task->await();
+  for (const auto& task : {b1, b2, i1, i2}) ASSERT_EQ(service.offer(task), kQueued);
+  for (const auto& task : {b1, b2, i1, i2}) wait_settled(task);
 
   EXPECT_DOUBLE_EQ(i1->dispatched_at, 0.0);
   EXPECT_DOUBLE_EQ(i2->dispatched_at, 0.0);
@@ -629,19 +597,19 @@ TEST(SchedulerService, AgingRescuesStarvedLowPriorityJob) {
 
     // The batch-class job has been parked since t=0…
     auto starved = make_task(1, 4, 2, api::Priority::kBatch);
-    ASSERT_TRUE(service.enqueue(starved));
+    ASSERT_EQ(service.offer(starved), kQueued);
     // …and at t=100 a fresh pair of standard jobs trips the threshold.
     engine.clock.store(100.0);
     auto fresh_a = make_task(2, 4, 2, api::Priority::kStandard);
     fresh_a->enqueued_at = 100.0;
     auto fresh_b = make_task(3, 4, 2, api::Priority::kStandard);
     fresh_b->enqueued_at = 100.0;
-    ASSERT_TRUE(service.enqueue(fresh_a));
-    ASSERT_TRUE(service.enqueue(fresh_b));
+    ASSERT_EQ(service.offer(fresh_a), kQueued);
+    ASSERT_EQ(service.offer(fresh_b), kQueued);
 
-    starved->await();
-    fresh_a->await();
-    fresh_b->await();
+    wait_settled(starved);
+    wait_settled(fresh_a);
+    wait_settled(fresh_b);
     service.shutdown();
 
     if (aging_on) {
@@ -668,10 +636,10 @@ TEST(SchedulerService, InfeasibleTaskFailsResourceExhausted) {
 
   auto fits = make_task(1, 4, 2);
   auto too_big = make_task(2, 20, 2);  // fits no 5-qubit QPU
-  ASSERT_TRUE(service.enqueue(fits));
-  ASSERT_TRUE(service.enqueue(too_big));
-  fits->await();
-  too_big->await();
+  ASSERT_EQ(service.offer(fits), kQueued);
+  ASSERT_EQ(service.offer(too_big), kQueued);
+  wait_settled(fits);
+  wait_settled(too_big);
 
   EXPECT_TRUE(fits->error.ok());
   EXPECT_GE(fits->assigned_qpu, 0);
@@ -722,7 +690,6 @@ TEST(SchedulerService, ValidatesConfigWithoutThrowing) {
 
   good.aging_seconds = 45.0;
   const auto view = to_config_view(good);
-  EXPECT_EQ(view.mode, api::SchedulingMode::kBatch);
   EXPECT_EQ(view.queue_threshold, good.queue_threshold);
   EXPECT_DOUBLE_EQ(view.interval_seconds, good.interval_seconds);
   EXPECT_EQ(view.queue_capacity, good.queue_capacity);
@@ -820,7 +787,6 @@ TEST(BatchServing, BurstIsDispatchedInMultipleSchedulerCycles) {
   EXPECT_EQ(by_priority, kRuns);
 
   // The config view echoes the deployment's knobs.
-  EXPECT_EQ(stats_response->config.mode, api::SchedulingMode::kBatch);
   EXPECT_EQ(stats_response->config.queue_threshold, 25u);
   EXPECT_EQ(stats_response->config.max_batch_size, 40u);
 }
@@ -1072,7 +1038,6 @@ TEST(BatchServing, BurstHitsThePrepCache) {
   config.seed = 67;
   config.trajectory_width_limit = 8;
   config.executor_threads = 1;  // sequential executors: deterministic hits
-  config.scheduler_service.mode = SchedulingMode::kImmediate;
   api::QonductorClient client(config);
   const auto image = deploy_quantum(client, "prep-cache", circuit::ghz(3));
 
@@ -1146,39 +1111,16 @@ TEST(BatchServing, ShutdownDrainsThePendingQueue) {
   EXPECT_EQ(rejected.status().code(), api::StatusCode::kUnavailable);
 }
 
-TEST(BatchServing, ImmediateModeIsTheExplicitFallback) {
-  QonductorConfig config;
-  config.num_qpus = 2;
-  config.seed = 31;
-  config.trajectory_width_limit = 8;
-  config.scheduler_service.mode = SchedulingMode::kImmediate;
-  api::QonductorClient client(config);
-  const auto image = deploy_quantum(client, "immediate", circuit::ghz(3));
-
-  api::InvokeRequest request;
-  request.image = image;
-  auto handle = client.invoke(request);
-  ASSERT_TRUE(handle.ok()) << handle.status().to_string();
-  EXPECT_EQ(handle->wait(), api::RunStatus::kCompleted);
-
-  // No scheduler service runs: the stats surface answers with zero cycles.
-  auto stats = client.getSchedulerStats();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->config.mode, api::SchedulingMode::kImmediate);
-  EXPECT_EQ(stats->stats.cycles, 0u);
-  EXPECT_EQ(stats->stats.jobs_scheduled, 0u);
-}
-
-// Regression: an immediate-mode quantum root task is ready at t=0 on the
-// DAG, but it must not start before its run was submitted.
-TEST(BatchServing, ImmediateModeTaskStartsNoEarlierThanSubmission) {
+// A quantum root task is ready at t=0 on the DAG, but it must not start
+// before its run was submitted: the dispatching cycle fires no earlier
+// than the fleet frontier the submission was stamped at.
+TEST(BatchServing, QuantumRootTaskStartsNoEarlierThanSubmission) {
   QonductorConfig config;
   config.num_qpus = 2;
   config.seed = 41;
   config.trajectory_width_limit = 8;
-  config.scheduler_service.mode = SchedulingMode::kImmediate;
   api::QonductorClient client(config);
-  const auto image = deploy_quantum(client, "immediate-late", circuit::ghz(3));
+  const auto image = deploy_quantum(client, "quantum-late", circuit::ghz(3));
   client.backend().advanceFleetClock(500.0);
 
   api::InvokeRequest request;
@@ -1195,61 +1137,38 @@ TEST(BatchServing, ImmediateModeTaskStartsNoEarlierThanSubmission) {
   EXPECT_GE(result->tasks[0].start, info->submitted_at);
 }
 
-// The same bound on the classical path, which both modes share: a root
-// classical task is ready at DAG time 0 but cannot start before its run
-// was submitted, and its duration counts from the real start.
+// The same bound on the classical path: a root classical task is ready at
+// DAG time 0 but cannot start before its run was submitted, and its
+// duration counts from the real start.
 TEST(BatchServing, ClassicalRootTaskStartsNoEarlierThanSubmission) {
-  for (const SchedulingMode mode : {SchedulingMode::kBatch, SchedulingMode::kImmediate}) {
-    SCOPED_TRACE(mode == SchedulingMode::kBatch ? "batch" : "immediate");
-    QonductorConfig config;
-    config.num_qpus = 2;
-    config.seed = 43;
-    config.scheduler_service.mode = mode;
-    api::QonductorClient client(config);
-    api::CreateWorkflowRequest create;
-    create.name = "classical-late";
-    create.tasks.push_back(workflow::HybridTask::classical("post", 0.25));
-    auto created = client.createWorkflow(std::move(create));
-    ASSERT_TRUE(created.ok()) << created.status().to_string();
-    api::DeployRequest deploy;
-    deploy.image = created->image;
-    ASSERT_TRUE(client.deploy(deploy).ok());
-    client.backend().advanceFleetClock(500.0);
-
-    api::InvokeRequest request;
-    request.image = created->image;
-    auto handle = client.invoke(request);
-    ASSERT_TRUE(handle.ok()) << handle.status().to_string();
-    EXPECT_EQ(handle->wait(), api::RunStatus::kCompleted);
-    auto info = client.getRun(handle->id());
-    ASSERT_TRUE(info.ok());
-    EXPECT_GE(info->submitted_at, 500.0);
-    auto result = handle->result();
-    ASSERT_TRUE(result.ok());
-    ASSERT_EQ(result->tasks.size(), 1u);
-    EXPECT_GE(result->tasks[0].start, info->submitted_at);
-    EXPECT_DOUBLE_EQ(result->tasks[0].end - result->tasks[0].start, 0.25);
-    EXPECT_GE(info->finished_at, result->tasks[0].end);
-  }
-}
-
-TEST(BatchServing, ImmediateModeOfflineFleetIsTypedResourceExhausted) {
   QonductorConfig config;
   config.num_qpus = 2;
-  config.seed = 37;
-  config.scheduler_service.mode = SchedulingMode::kImmediate;
+  config.seed = 43;
   api::QonductorClient client(config);
-  const auto image = deploy_quantum(client, "immediate-offline", circuit::ghz(3));
-  take_fleet_offline(client);
+  api::CreateWorkflowRequest create;
+  create.name = "classical-late";
+  create.tasks.push_back(workflow::HybridTask::classical("post", 0.25));
+  auto created = client.createWorkflow(std::move(create));
+  ASSERT_TRUE(created.ok()) << created.status().to_string();
+  api::DeployRequest deploy;
+  deploy.image = created->image;
+  ASSERT_TRUE(client.deploy(deploy).ok());
+  client.backend().advanceFleetClock(500.0);
 
   api::InvokeRequest request;
-  request.image = image;
+  request.image = created->image;
   auto handle = client.invoke(request);
-  ASSERT_TRUE(handle.ok());
-  EXPECT_EQ(handle->wait(), api::RunStatus::kFailed);
+  ASSERT_TRUE(handle.ok()) << handle.status().to_string();
+  EXPECT_EQ(handle->wait(), api::RunStatus::kCompleted);
+  auto info = client.getRun(handle->id());
+  ASSERT_TRUE(info.ok());
+  EXPECT_GE(info->submitted_at, 500.0);
   auto result = handle->result();
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->error.code(), api::StatusCode::kResourceExhausted);
+  ASSERT_EQ(result->tasks.size(), 1u);
+  EXPECT_GE(result->tasks[0].start, info->submitted_at);
+  EXPECT_DOUBLE_EQ(result->tasks[0].end - result->tasks[0].start, 0.25);
+  EXPECT_GE(info->finished_at, result->tasks[0].end);
 }
 
 TEST(BatchServing, BadSchedulerKnobsSurfaceAsInvalidArgument) {
@@ -1280,7 +1199,7 @@ TEST(BatchServing, BadSchedulerKnobsSurfaceAsInvalidArgument) {
   EXPECT_EQ(weight_handle.status().code(), api::StatusCode::kInvalidArgument);
 }
 
-// Deadline-boundary regression, site 2 of 3 (the mid-batch filter): the
+// Deadline-boundary regression, site 2 of 2 (the mid-batch filter): the
 // fleet frontier can overshoot the cycle's fire time while the snapshot is
 // taken, landing exactly on a batched job's deadline. Dispatch at that
 // instant has zero slack — the job must fail DEADLINE_EXCEEDED, not
@@ -1308,10 +1227,10 @@ TEST(SchedulerService, MidBatchFilterUsesInclusiveDeadlineBoundary) {
   boundary->deadline_seconds = 70.0;  // == the post-snapshot frontier exactly
   auto alive = make_task(2, 4, 2);
   alive->deadline_seconds = 1000.0;
-  ASSERT_TRUE(service.enqueue(boundary));
-  ASSERT_TRUE(service.enqueue(alive));
-  boundary->await();
-  alive->await();
+  ASSERT_EQ(service.offer(boundary), kQueued);
+  ASSERT_EQ(service.offer(alive), kQueued);
+  wait_settled(boundary);
+  wait_settled(alive);
 
   EXPECT_EQ(boundary->error.code(), api::StatusCode::kDeadlineExceeded);
   EXPECT_LT(boundary->assigned_qpu, 0);  // never reached a QPU
@@ -1324,17 +1243,16 @@ TEST(SchedulerService, MidBatchFilterUsesInclusiveDeadlineBoundary) {
   service.shutdown();
 }
 
-// Satellite regression: enqueue/offer against a closing queue. The service
-// must reject the hand-off — and the orchestrator call site settles the run
-// with a typed UNAVAILABLE (covered end to end below in
+// Regression: offer against a closing queue. The service must reject the
+// hand-off — and the orchestrator call site settles the run with a typed
+// UNAVAILABLE (covered end to end below in
 // BatchServing.ShutdownRacingAnEngineStepFailsTheRunUnavailable).
 TEST(SchedulerService, OfferAfterShutdownIsRejectedAsClosed) {
   FakeEngine engine(2);
   SchedulerServiceConfig config;
   SchedulerService service(config, 7, {}, engine.hooks());
   service.shutdown();
-  EXPECT_FALSE(service.enqueue(make_task(1, 4, 2)));
-  EXPECT_EQ(service.offer(make_task(2, 4, 2)), PendingQueue::Offer::kClosed);
+  EXPECT_EQ(service.offer(make_task(1, 4, 2)), kClosed);
 }
 
 // Overload relief at the service level: offers beyond the queue capacity
@@ -1349,16 +1267,15 @@ TEST(SchedulerService, OffersBeyondCapacityWaitlistAndDrainThroughCycles) {
   config.linger = 50ms;
   SchedulerService service(config, 7, {}, engine.hooks());
 
-  // Six offers against a 2-slot queue, from this one thread: with blocking
-  // push this would deadlock (no consumer progress until we return); offer
-  // must return immediately for all six.
+  // Six offers against a 2-slot queue, from this one thread: each returns
+  // at once, the surplus waitlisted instead of blocking the caller.
   std::vector<std::shared_ptr<PendingQuantumTask>> tasks;
   for (api::RunId r = 1; r <= 6; ++r) {
     tasks.push_back(make_task(r, 4, 2));
-    ASSERT_NE(service.offer(tasks.back()), PendingQueue::Offer::kClosed);
+    ASSERT_NE(service.offer(tasks.back()), kClosed);
   }
   for (const auto& task : tasks) {
-    task->await();
+    wait_settled(task);
     EXPECT_TRUE(task->error.ok()) << task->error.to_string();
     EXPECT_GE(task->assigned_qpu, 0);
   }
@@ -1525,40 +1442,6 @@ TEST(AdmissionControl, InvokeAllShedsAtomically) {
 }
 
 // ---- more end-to-end serving-path coverage -----------------------------------
-
-// Deadline-boundary regression, site 3 of 3 (the immediate path): a
-// classical prep task advances the fleet clock to exactly the quantum
-// task's deadline, so dispatch would happen AT the deadline with zero
-// slack — the run must fail DEADLINE_EXCEEDED. (Submit-time admission
-// passes: the deadline lies beyond the frontier at invoke.)
-TEST(BatchServing, ImmediateDispatchExactlyAtDeadlineIsAMiss) {
-  QonductorConfig config;
-  config.num_qpus = 2;
-  config.seed = 101;
-  config.scheduler_service.mode = SchedulingMode::kImmediate;
-  api::QonductorClient client(config);
-
-  api::CreateWorkflowRequest create;
-  create.name = "boundary";
-  // chain_workflow wires prep -> ghz: the quantum task is ready at t=0.25.
-  create.tasks.push_back(workflow::HybridTask::classical("prep", 0.25));
-  create.tasks.push_back(workflow::HybridTask::quantum("ghz", circuit::ghz(3), 128));
-  auto created = client.createWorkflow(std::move(create));
-  ASSERT_TRUE(created.ok()) << created.status().to_string();
-  api::DeployRequest deploy;
-  deploy.image = created->image;
-  ASSERT_TRUE(client.deploy(deploy).ok());
-
-  api::InvokeRequest request;
-  request.image = created->image;
-  request.preferences.deadline_seconds = 0.25;  // == the dispatch instant
-  auto handle = client.invoke(request);
-  ASSERT_TRUE(handle.ok()) << handle.status().to_string();
-  EXPECT_EQ(handle->wait(), api::RunStatus::kFailed);
-  auto result = handle->result();
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->error.code(), api::StatusCode::kDeadlineExceeded);
-}
 
 // Satellite regression: a scheduler-service shutdown racing a late engine
 // step. The on_task_start observer fires right before the quantum task
