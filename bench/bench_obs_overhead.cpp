@@ -52,7 +52,6 @@ Scenario run_burst(bool telemetry_on, bool export_artifacts) {
   config.scheduler_service.linger = std::chrono::milliseconds(20);
   config.telemetry.tracing = telemetry_on;
   config.telemetry.metrics = telemetry_on;
-  config.telemetry.trace_runs = kRuns + 8;  // retain the whole burst
   if (telemetry_on) {
     // The health pillar rides the telemetry-on arm so the 5% budget also
     // covers watchdog heartbeats and per-settle SLO recording.

@@ -65,8 +65,9 @@ class QonductorClient {
 
   // -- observability ------------------------------------------------------------
   /// The retained lifecycle trace of one run: ordered spans submit -> settle
-  /// stamped with the fleet virtual clock AND wall µs. kNotFound for unknown
-  /// or trace-retention-evicted ids; kFailedPrecondition with tracing off.
+  /// stamped with the fleet virtual clock AND wall µs. kNotFound exactly when
+  /// getRun is (unknown or retention-evicted ids); kFailedPrecondition with
+  /// tracing off.
   Result<GetRunTraceResponse> getRunTrace(const GetRunTraceRequest& request) const;
   /// One coherent snapshot of every registered metric — feed it to
   /// obs::render_prometheus / obs::render_json.

@@ -17,6 +17,12 @@
 #include "api/types.hpp"
 #include "common/thread_safety.hpp"
 
+namespace qon::obs {
+// Per-run span ring (obs/trace.hpp); the record carries it as an opaque
+// pointer so the api layer stays free of obs includes.
+class RunTraceBuffer;
+}  // namespace qon::obs
+
 namespace qon::api {
 
 /// Shared record of one run, written by the orchestrator's executor and
@@ -29,6 +35,11 @@ struct RunState {
   /// resolved against the deployment default). Written once before the
   /// record is shared; immutable afterwards.
   JobPreferences preferences;
+  /// The run's span ring (null when tracing is off) — its only retention
+  /// home: getRunTrace finds it through the run table, so a trace lives
+  /// exactly as long as the record it hangs on. Written once before the
+  /// record is shared; the buffer locks internally for recorders/readers.
+  std::shared_ptr<obs::RunTraceBuffer> trace;
 
   mutable Mutex mutex{LockRank::kRunState, "RunState::mutex"};
   mutable CondVar cv;

@@ -356,8 +356,9 @@ struct RunTrace {
   std::uint64_t dropped = 0;   ///< spans lost to ring wraparound
 };
 
-/// kNotFound for unknown ids and for traces evicted from the tracer's
-/// bounded retention window; kFailedPrecondition when tracing is disabled.
+/// kNotFound exactly when getRun is (unknown id, or a run evicted by the
+/// run table's retention policy); kFailedPrecondition when tracing is
+/// disabled.
 struct GetRunTraceRequest {
   std::uint32_t api_version = kApiVersion;
   RunId run = 0;

@@ -152,15 +152,11 @@ enum class LockRank : int {
   /// OUTSIDE it (the fleet probe takes kMonitor=500, which would otherwise
   /// rank-invert).
   kHealth = 570,
-  /// core::PendingQueue::mutex_ — the scheduler service's pending queue.
-  /// Never held while settling a task (settlement happens after take).
+  /// core::PendingQueue::mutex_ — the scheduler service's pending queue
+  /// and its capacity waitlist (one lock, so waitlist membership and queue
+  /// capacity change atomically). Never held while settling a task
+  /// (settlement happens after take).
   kPendingQueue = 600,
-  /// core::PendingQueue::waitlist_mutex_ — the queue-capacity waitlist.
-  /// Inside kPendingQueue: offer() decides full-vs-queued and the drain
-  /// paths (take_batch/take_expired/remove/close) promote waiters under the
-  /// queue lock, so waitlist membership and capacity change atomically.
-  /// Outside kPendingTask: waitlisted items are never settled under it.
-  kQueueWaitlist = 620,
   /// core::PendingQuantumTask::mutex_ — one per parked task; settlement
   /// observers fire outside it (they acquire kRunEngine).
   kPendingTask = 650,
@@ -174,15 +170,12 @@ enum class LockRank : int {
   kRegistry = 800,
   /// Qonductor::prep_cache_mutex_ — transpile/estimate cache. Leaf.
   kPrepCache = 850,
-  /// obs::Tracer::mutex_ — the run-id -> trace-buffer map. Outside
-  /// kTraceBuffer: getRunTrace snapshots a buffer while holding the map
-  /// lock. High rank so lookups may run while holding any scheduler or
-  /// engine lock (none do today, but recording must never rank-invert).
-  kTracer = 860,
-  /// obs::RunTraceBuffer::mutex_ — one per-run span ring. Near-leaf:
-  /// spans are recorded from engine workers and the scheduler thread while
-  /// those components hold their own (lower-ranked) locks, and the only
-  /// lock ever taken inside it is kLogging.
+  /// obs::RunTraceBuffer::mutex_ — one per-run span ring, hung on the run
+  /// record (api::RunState::trace). Near-leaf: spans are recorded from
+  /// engine workers and the scheduler thread while those components hold
+  /// their own (lower-ranked) locks; getRunTrace snapshots it after the
+  /// run-table lookup has released kRunTable. The only lock ever taken
+  /// inside it is kLogging.
   kTraceBuffer = 880,
   /// ThreadPool::mutex_ — task queue of the worksharing pool. Inside
   /// kEngine: NSGA-II fitness evaluation and state-vector simulation

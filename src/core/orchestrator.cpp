@@ -426,6 +426,16 @@ api::Result<api::RunHandle> Qonductor::start_run(const workflow::WorkflowImage* 
   state->image = image->id;
   state->preferences = std::move(preferences);
   const double submitted_at = fleetNow();
+  if (telemetry_.tracing_enabled()) {
+    // The trace starts before the engine submit so the submit point is
+    // always the first span, even if the first engine step runs instantly.
+    state->trace = telemetry_.tracer().start();
+    state->trace->record(telemetry_.tracer().point(
+        "submit", submitted_at, "image=" + std::to_string(image->id)));
+    state->trace->record(telemetry_.tracer().point(
+        "admitted", submitted_at,
+        std::string("priority=") + api::priority_name(priority)));
+  }
   {
     // The record is not shared with any other thread until insert() below,
     // but submitted_at is guarded state: the (uncontended) record lock
@@ -440,16 +450,6 @@ api::Result<api::RunHandle> Qonductor::start_run(const workflow::WorkflowImage* 
   cont->order = image->dag.topological_order();
   cont->finish.assign(image->dag.size(), 0.0);
   cont->result.run = run;
-  if (telemetry_.tracing_enabled()) {
-    // The trace starts before the engine submit so the submit point is
-    // always the first span, even if the first engine step runs instantly.
-    cont->trace = telemetry_.tracer().start(run);
-    cont->trace->record(telemetry_.tracer().point(
-        "submit", submitted_at, "image=" + std::to_string(image->id)));
-    cont->trace->record(telemetry_.tracer().point(
-        "admitted", submitted_at,
-        std::string("priority=") + api::priority_name(priority)));
-  }
   if (!engine_->submit(std::move(cont))) {
     // The engine rejected the run (shutdown). Retract the record and fail
     // the state so no waiter can block forever on a run that will never
@@ -656,10 +656,16 @@ api::Result<api::GetRunTraceResponse> Qonductor::getRunTrace(
     return api::FailedPrecondition(
         "getRunTrace: tracing is disabled (QonductorConfig::telemetry.tracing)");
   }
-  auto trace = telemetry_.tracer().trace(request.run);
-  if (!trace.ok()) return trace.status();
+  // The trace hangs on the run record, so it answers exactly when getRun
+  // does: in-flight runs are pinned, terminal ones follow the retention
+  // policy.
+  const auto state = run_table_.find(request.run);
+  if (!state) {
+    return api::NotFound("getRunTrace: no trace for run " + std::to_string(request.run) +
+                         " (unknown id, or evicted by the retention policy)");
+  }
   api::GetRunTraceResponse response;
-  response.trace = *std::move(trace);
+  response.trace = state->trace->snapshot(request.run);
   return response;
 }
 
@@ -860,9 +866,9 @@ StepOutcome Qonductor::settle_run(const std::shared_ptr<RunContinuation>& cont) 
                  std::max(0.0, finished_at - submitted_at), finished_at,
                  terminal == api::RunStatus::kCompleted);
   }
-  if (cont->trace) {
-    cont->trace->record(telemetry_.tracer().point("settle", finished_at,
-                                                  api::run_status_name(terminal)));
+  if (state->trace) {
+    state->trace->record(telemetry_.tracer().point("settle", finished_at,
+                                                   api::run_status_name(terminal)));
   }
   {
     MutexLock lock(state->mutex);
@@ -875,9 +881,9 @@ StepOutcome Qonductor::settle_run(const std::shared_ptr<RunContinuation>& cont) 
     run_table_.mark_terminal(run);
   }
   state->cv.notify_all();
-  if (cont->trace) {
+  if (state->trace) {
     // Outside all component locks, per the sink contract.
-    telemetry_.tracer().finalize(cont->trace);
+    telemetry_.tracer().finalize(run, state->trace);
   }
   if (Logger::enabled(LogLevel::kDebug)) {
     orch_log().debug("run settled", {{"run", run},
@@ -919,7 +925,7 @@ StepOutcome Qonductor::step_run(const std::shared_ptr<RunContinuation>& cont) {
   // Capture the context up front: after a parking step registers its
   // settlement callback, `cont` may already be resuming on another worker
   // and must not be dereferenced again (the span ring locks internally).
-  const obs::TraceContext trace = cont->trace;
+  const obs::TraceContext trace = cont->state->trace;
   if (!trace) return step_run_impl(cont);
   const double virtual_start = fleetNow();
   const double wall_start = telemetry_.tracer().wall_now_us();
@@ -983,17 +989,17 @@ StepOutcome Qonductor::step_run_impl(const std::shared_ptr<RunContinuation>& con
       cont->settle_hint = std::max(cont->settle_hint, pending->dispatched_at);
       return settle_task_failure(cont, task.name, pending->error);
     }
-    if (cont->trace) {
+    if (state->trace) {
       // The cycle's verdict fields are stable after settlement (see
       // pending_queue.hpp) — stamp the dispatch edge at the cycle's own
       // virtual fire time.
-      cont->trace->record(telemetry_.tracer().point(
+      state->trace->record(telemetry_.tracer().point(
           "dispatch", pending->dispatched_at,
           "qpu=" + std::to_string(pending->assigned_qpu)));
     }
     try {
       const double exec_wall_start =
-          cont->trace ? telemetry_.tracer().wall_now_us() : 0.0;
+          state->trace ? telemetry_.tracer().wall_now_us() : 0.0;
       TaskResult tr;
       {
         MutexLock lock(engine_mutex_);
@@ -1001,8 +1007,8 @@ StepOutcome Qonductor::step_run_impl(const std::shared_ptr<RunContinuation>& con
             task, *prep, static_cast<std::size_t>(pending->assigned_qpu), ready_at,
             pending->dispatched_at);
       }
-      if (cont->trace) {
-        cont->trace->record(telemetry_.tracer().span(
+      if (state->trace) {
+        state->trace->record(telemetry_.tracer().span(
             "qpu_exec", tr.start, tr.end, exec_wall_start, "resource=" + tr.resource));
       }
       record_task_result(*cont, node, std::move(tr));
@@ -1048,13 +1054,13 @@ StepOutcome Qonductor::step_run_impl(const std::shared_ptr<RunContinuation>& con
       return park_quantum_task(cont, task, ready);
     }
     const double exec_wall_start =
-        cont->trace ? telemetry_.tracer().wall_now_us() : 0.0;
+        state->trace ? telemetry_.tracer().wall_now_us() : 0.0;
     api::Result<TaskResult> executed = run_classical_task(state, task, ready);
     if (!executed.ok()) {
       return settle_task_failure(cont, task.name, executed.status());
     }
-    if (cont->trace) {
-      cont->trace->record(telemetry_.tracer().span(
+    if (state->trace) {
+      state->trace->record(telemetry_.tracer().span(
           "task_classical", executed->start, executed->end, exec_wall_start,
           "resource=" + executed->resource));
     }
@@ -1205,13 +1211,13 @@ StepOutcome Qonductor::park_quantum_task(const std::shared_ptr<RunContinuation>&
   pending->priority = prefs.priority;
   pending->est_fidelity = prep->est_fidelity;
   pending->est_exec_seconds = prep->est_exec_seconds;
-  if (cont->trace) {
+  if (state->trace) {
     // Request-half fields: the scheduler thread reads them under the same
     // happens-before as the rest (the queue's lock hand-off) and records
     // queue_wait / cycle-stage spans into the ring before settlement.
-    pending->trace = cont->trace;
+    pending->trace = state->trace;
     pending->enqueued_wall_us = telemetry_.tracer().wall_now_us();
-    cont->trace->record(telemetry_.tracer().point(
+    state->trace->record(telemetry_.tracer().point(
         "park", pending->enqueued_at,
         "task=" + task.name + " priority=" + api::priority_name(prefs.priority)));
   }

@@ -167,7 +167,8 @@ struct QonductorConfig {
   /// Garbage collection of terminal run records (see core::RunTable).
   RunRetentionPolicy retention;
   /// Telemetry knobs (see obs::TelemetryConfig): run-lifecycle tracing,
-  /// histogram observations, trace retention, export sink. Counters backing
+  /// histogram observations, export sink (traces follow `retention`, they
+  /// live on the run records). Counters backing
   /// getSchedulerStats/getAdmissionStats/prepCacheHits are always on.
   obs::TelemetryConfig telemetry;
   /// Live-health knobs: engine watchdog budget, SLO targets, burn-rate
@@ -224,7 +225,8 @@ class Qonductor {
       const api::GetAdmissionStatsRequest& request) const;
   /// The retained lifecycle trace of one run: the ordered span set
   /// submit -> settle, each span stamped with the fleet virtual clock AND
-  /// wall µs. kNotFound for unknown or retention-evicted run ids;
+  /// wall µs. The trace lives on the run record, so this is kNotFound
+  /// exactly when getRun is (unknown or retention-evicted run ids);
   /// kFailedPrecondition when tracing is disabled in the config.
   api::Result<api::GetRunTraceResponse> getRunTrace(
       const api::GetRunTraceRequest& request) const;

@@ -73,7 +73,6 @@ PendingQueue::Offer PendingQueue::offer(Item item) {
       // if we released it first, a racing take_batch() could drain both
       // the queue and the (still-empty) waitlist before this item landed,
       // stranding it forever (an empty queue never fires a cycle).
-      MutexLock wl(waitlist_mutex_);
       waitlist_[static_cast<std::size_t>(item->priority)].push_back(
           std::move(item));
       ++waitlist_parks_;
@@ -88,20 +87,16 @@ PendingQueue::Offer PendingQueue::offer(Item item) {
 
 void PendingQueue::promote_waitlist_locked(bool ignore_capacity) {
   bool promoted = false;
-  {
-    MutexLock wl(waitlist_mutex_);
-    // Highest class first (kInteractive = last lane index), FIFO within a
-    // class — the same drain order take_batch uses for the queue proper.
-    for (std::size_t lane = waitlist_.size(); lane-- > 0;) {
-      auto& waiters = waitlist_[lane];
-      while (!waiters.empty() &&
-             (ignore_capacity || capacity_ == 0 ||
-              size_locked() < capacity_)) {
-        lanes_[lane].push_back(std::move(waiters.front()));
-        waiters.pop_front();
-        high_watermark_ = std::max(high_watermark_, size_locked());
-        promoted = true;
-      }
+  // Highest class first (kInteractive = last lane index), FIFO within a
+  // class — the same drain order take_batch uses for the queue proper.
+  for (std::size_t lane = waitlist_.size(); lane-- > 0;) {
+    auto& waiters = waitlist_[lane];
+    while (!waiters.empty() &&
+           (ignore_capacity || capacity_ == 0 || size_locked() < capacity_)) {
+      lanes_[lane].push_back(std::move(waiters.front()));
+      waiters.pop_front();
+      high_watermark_ = std::max(high_watermark_, size_locked());
+      promoted = true;
     }
   }
   if (promoted) consumer_cv_.notify_one();
@@ -214,19 +209,16 @@ std::vector<PendingQueue::Item> PendingQueue::take_expired(double now) {
         }
       }
     }
-    {
-      // A waitlisted job's deadline keeps ticking while it waits for a
-      // capacity slot — sweep the waitlist too so it fails DEADLINE_EXCEEDED
-      // this cycle instead of after an arbitrarily long park.
-      MutexLock wl(waitlist_mutex_);
-      for (auto& lane : waitlist_) {
-        for (auto it = lane.begin(); it != lane.end();) {
-          if ((*it)->deadline_seconds && *(*it)->deadline_seconds <= now) {
-            expired.push_back(std::move(*it));
-            it = lane.erase(it);
-          } else {
-            ++it;
-          }
+    // A waitlisted job's deadline keeps ticking while it waits for a
+    // capacity slot — sweep the waitlist too so it fails DEADLINE_EXCEEDED
+    // this cycle instead of after an arbitrarily long park.
+    for (auto& lane : waitlist_) {
+      for (auto it = lane.begin(); it != lane.end();) {
+        if ((*it)->deadline_seconds && *(*it)->deadline_seconds <= now) {
+          expired.push_back(std::move(*it));
+          it = lane.erase(it);
+        } else {
+          ++it;
         }
       }
     }
@@ -249,7 +241,6 @@ bool PendingQueue::remove(const Item& item) {
       // Not queued — a cancelled run's task may still be parked on the
       // capacity waitlist. Pulling it from there frees no queue slot, so no
       // promotion follows.
-      MutexLock wl(waitlist_mutex_);
       auto& waiters = waitlist_[static_cast<std::size_t>(item->priority)];
       const auto wit = std::find(waiters.begin(), waiters.end(), item);
       if (wit != waiters.end()) {
@@ -289,19 +280,19 @@ std::size_t PendingQueue::high_watermark() const {
 }
 
 std::size_t PendingQueue::waitlist_depth() const {
-  MutexLock wl(waitlist_mutex_);
+  MutexLock lock(mutex_);
   std::size_t depth = 0;
   for (const auto& lane : waitlist_) depth += lane.size();
   return depth;
 }
 
 std::size_t PendingQueue::waitlist_high_watermark() const {
-  MutexLock wl(waitlist_mutex_);
+  MutexLock lock(mutex_);
   return waitlist_high_watermark_;
 }
 
 std::uint64_t PendingQueue::waitlist_parks() const {
-  MutexLock wl(waitlist_mutex_);
+  MutexLock lock(mutex_);
   return waitlist_parks_;
 }
 
@@ -315,13 +306,10 @@ double PendingQueue::oldest_wait_seconds(double now) const {
       }
     }
   }
-  {
-    MutexLock wl(waitlist_mutex_);
-    for (const auto& lane : waitlist_) {
-      for (const Item& item : lane) {
-        if (oldest_enqueue < 0.0 || item->enqueued_at < oldest_enqueue) {
-          oldest_enqueue = item->enqueued_at;
-        }
+  for (const auto& lane : waitlist_) {
+    for (const Item& item : lane) {
+      if (oldest_enqueue < 0.0 || item->enqueued_at < oldest_enqueue) {
+        oldest_enqueue = item->enqueued_at;
       }
     }
   }

@@ -4,7 +4,9 @@
 // them in batches when a scheduling cycle fires. The queue is bounded, and
 // its one producer entry point, offer(), never blocks: a full queue parks
 // the item on a capacity waitlist that drains FIFO-by-priority into freed
-// slots, so an engine worker never convoys on a flooded queue. The queue
+// slots, so an engine worker never convoys on a flooded queue. One mutex
+// guards the lanes and the waitlist alike, so a freed slot and its refill
+// from the waitlist are a single critical section. The queue
 // owns the wait primitive the scheduler thread sleeps on: wake on reaching
 // the queue-size threshold, on a linger timeout with work waiting, or on
 // close() for the final shutdown flush.
@@ -227,14 +229,11 @@ class PendingQueue {
   bool closed_ GUARDED_BY(mutex_) = false;
 
   /// Capacity waitlist: offers that found the queue full park here instead
-  /// of blocking their thread. Its mutex ranks inside kPendingQueue (see
-  /// LockRank::kQueueWaitlist) — every access nests under mutex_ except the
-  /// three read-only accessors.
-  mutable Mutex waitlist_mutex_{LockRank::kQueueWaitlist,
-                                "PendingQueue::waitlist_mutex_"};
-  Lanes waitlist_ GUARDED_BY(waitlist_mutex_);
-  std::size_t waitlist_high_watermark_ GUARDED_BY(waitlist_mutex_) = 0;
-  std::uint64_t waitlist_parks_ GUARDED_BY(waitlist_mutex_) = 0;
+  /// of blocking their thread. Under the queue lock, so waitlist membership
+  /// and queue capacity change in one atomic step.
+  Lanes waitlist_ GUARDED_BY(mutex_);
+  std::size_t waitlist_high_watermark_ GUARDED_BY(mutex_) = 0;
+  std::uint64_t waitlist_parks_ GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace qon::core

@@ -51,12 +51,6 @@
 #include "core/pending_queue.hpp"
 #include "workflow/registry.hpp"
 
-namespace qon::obs {
-// Per-run span ring (obs/trace.hpp); continuations carry it as an opaque
-// pointer so the engine layer stays free of obs includes.
-class RunTraceBuffer;
-}  // namespace qon::obs
-
 namespace qon::core {
 
 // Per-backend transpile + estimate bundle (defined in orchestrator.hpp); a
@@ -81,13 +75,6 @@ struct RunContinuation {
   std::vector<double> finish;           ///< per-node finish times (fleet clock)
   api::WorkflowResult result;           ///< accumulated execution report
   bool started = false;                 ///< kPending -> kRunning happened
-
-  /// Per-run span ring, created at submit time by the orchestrator's
-  /// tracer (null when tracing is off). Shares the continuation's
-  /// synchronization story: only the single in-flight event records into
-  /// it through this pointer, and the buffer itself locks internally for
-  /// the concurrent getRunTrace reader.
-  std::shared_ptr<obs::RunTraceBuffer> trace;
 
   // Park context: set before the quantum task enters the pending queue and
   // collected by the resume step. `parked` doubles as the "this step is a

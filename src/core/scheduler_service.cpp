@@ -96,7 +96,8 @@ SchedulerService::SchedulerService(SchedulerServiceConfig config, std::uint64_t 
       rng_(seed),
       queue_(config.queue_capacity) {
   // Callback gauges poll component state behind its own lock at snapshot
-  // time; legal because kPendingQueue/kQueueWaitlist rank above kMetrics.
+  // time; legal because kPendingQueue (which also guards the waitlist)
+  // ranks above kMetrics.
   // `this` outlives the registry only in the owned-bundle case, but the
   // orchestrator destroys its Telemetry after the service either way.
   auto& registry = telemetry_->registry();
@@ -216,14 +217,9 @@ void SchedulerService::run_loop() {
 void SchedulerService::record_queue_wait(const PendingQueue::Item& item, double now,
                                          std::string verdict) const {
   if (!item->trace) return;
-  api::TraceSpan span;
-  span.name = "queue_wait";
-  span.detail = std::move(verdict);
-  span.virtual_start = item->enqueued_at;
-  span.virtual_end = now;
-  span.wall_start_us = item->enqueued_wall_us;
-  span.wall_end_us = telemetry_->tracer().wall_now_us();
-  item->trace->record(std::move(span));
+  item->trace->record(telemetry_->tracer().span("queue_wait", item->enqueued_at, now,
+                                                item->enqueued_wall_us,
+                                                std::move(verdict)));
 }
 
 void SchedulerService::fail_expired(const std::vector<PendingQueue::Item>& overdue,

@@ -7,7 +7,9 @@
 //
 //   - tracing:  off -> no TraceContext is ever created, every record site
 //               short-circuits on the null pointer; getRunTrace returns
-//               FAILED_PRECONDITION.
+//               FAILED_PRECONDITION. On, each run's trace lives on its run
+//               record, so the run table's retention policy
+//               (QonductorConfig::retention) bounds trace memory too.
 //   - metrics:  gates the OPTIONAL observations (latency/stage histograms).
 //               Counters and callback gauges backing the pre-existing stats
 //               surfaces (getSchedulerStats / getAdmissionStats /
@@ -56,10 +58,6 @@ struct TelemetryConfig {
   /// Histogram observations (run latency, cycle stages). Counters backing
   /// the legacy stats surfaces are unaffected by this knob.
   bool metrics = true;
-  /// How many run traces the tracer retains (oldest-started evicted first).
-  std::size_t trace_runs = 1024;
-  /// Span-ring capacity per run; older spans drop once exceeded.
-  std::size_t trace_spans_per_run = 128;
   /// Invoked with each finished run's trace at settle time, outside all
   /// locks (e.g. obs::make_jsonl_file_sink). Must be thread-safe.
   TraceSink trace_sink;
@@ -71,7 +69,7 @@ class Telemetry {
       : config_(std::move(config)),
         // registry_ precedes tracer_ in declaration order, so handing the
         // tracer a registry counter here is construction-order safe.
-        tracer_(config_.trace_runs, config_.trace_spans_per_run, config_.trace_sink,
+        tracer_(config_.trace_sink,
                 registry_.counter("qon_trace_spans_dropped_total",
                                   "Trace spans dropped from full per-run rings")),
         snapshot_duration_(registry_.histogram(

@@ -7,10 +7,8 @@
 
 namespace qon::obs {
 
-RunTraceBuffer::RunTraceBuffer(api::RunId run, std::size_t capacity,
-                               Counter* drop_counter)
-    : run_(run),
-      capacity_(std::max<std::size_t>(1, capacity)),
+RunTraceBuffer::RunTraceBuffer(std::size_t capacity, Counter* drop_counter)
+    : capacity_(std::max<std::size_t>(1, capacity)),
       drop_counter_(drop_counter) {}
 
 void RunTraceBuffer::record(api::TraceSpan span) {
@@ -26,9 +24,9 @@ void RunTraceBuffer::record(api::TraceSpan span) {
   ++recorded_;
 }
 
-api::RunTrace RunTraceBuffer::snapshot() const {
+api::RunTrace RunTraceBuffer::snapshot(api::RunId run) const {
   api::RunTrace out;
-  out.run = run_;
+  out.run = run;
   MutexLock lock(mutex_);
   out.recorded = recorded_;
   out.dropped = recorded_ - ring_.size();
@@ -41,39 +39,17 @@ api::RunTrace RunTraceBuffer::snapshot() const {
   return out;
 }
 
-Tracer::Tracer(std::size_t max_runs, std::size_t spans_per_run, TraceSink sink,
-               Counter* span_drop_counter)
-    : max_runs_(std::max<std::size_t>(1, max_runs)),
-      spans_per_run_(spans_per_run),
-      sink_(std::move(sink)),
+Tracer::Tracer(TraceSink sink, Counter* span_drop_counter)
+    : sink_(std::move(sink)),
       span_drop_counter_(span_drop_counter),
       epoch_(std::chrono::steady_clock::now()) {}
 
-TraceContext Tracer::start(api::RunId run) {
-  auto buffer =
-      std::make_shared<RunTraceBuffer>(run, spans_per_run_, span_drop_counter_);
-  MutexLock lock(mutex_);
-  traces_[run] = buffer;
-  order_.push_back(run);
-  while (traces_.size() > max_runs_) {
-    traces_.erase(order_.front());
-    order_.pop_front();
-  }
-  return buffer;
+TraceContext Tracer::start() const {
+  return std::make_shared<RunTraceBuffer>(kSpansPerRun, span_drop_counter_);
 }
 
-void Tracer::finalize(const TraceContext& trace) const {
-  if (sink_ && trace) sink_(trace->snapshot());
-}
-
-api::Result<api::RunTrace> Tracer::trace(api::RunId run) const {
-  MutexLock lock(mutex_);
-  const auto it = traces_.find(run);
-  if (it == traces_.end()) {
-    return api::NotFound("getRunTrace: no trace for run " + std::to_string(run) +
-                         " (unknown id, or evicted from the trace retention window)");
-  }
-  return it->second->snapshot();
+void Tracer::finalize(api::RunId run, const TraceContext& trace) const {
+  if (sink_ && trace) sink_(trace->snapshot(run));
 }
 
 api::TraceSpan Tracer::point(const char* name, double virtual_now,

@@ -2,11 +2,12 @@
 // Run-lifecycle tracing — the first pillar of the telemetry subsystem.
 //
 // Every run carries a TraceContext (a shared_ptr to its RunTraceBuffer) on
-// its RunContinuation and on each parked PendingQuantumTask; a null context
-// means tracing is off and every record call is skipped at the call site.
-// Spans stamp BOTH clocks — the fleet virtual clock (simulated seconds) and
-// a steady wall clock (µs since the tracer's construction) — so a reader
-// can answer "where did run 4711's 90 ms go?" in either domain.
+// its run record (api::RunState::trace) and on each parked
+// PendingQuantumTask; a null context means tracing is off and every record
+// call is skipped at the call site. Spans stamp BOTH clocks — the fleet
+// virtual clock (simulated seconds) and a steady wall clock (µs since the
+// tracer's construction) — so a reader can answer "where did run 4711's
+// 90 ms go?" in either domain.
 //
 // Writer model: a span is recorded either by the engine worker currently
 // driving the run (one event per run is in flight at a time) or by the
@@ -19,20 +20,16 @@
 //
 // Each buffer is a bounded ring: a run recording more spans than the ring
 // holds drops the oldest and counts them, so a pathological run cannot grow
-// memory without bound. The tracer itself retains at most `max_runs`
-// traces, evicting oldest-started first — getRunTrace on an evicted (or
-// never-traced) id is NOT_FOUND, mirroring the run table's retention
-// contract.
+// memory without bound. The tracer keeps no run index of its own: a trace
+// lives exactly as long as its run record, so getRunTrace answers for the
+// same runs getRun does (the run table's retention policy decides both).
 
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
-#include "api/result.hpp"
 #include "api/types.hpp"
 #include "common/thread_safety.hpp"
 
@@ -45,19 +42,17 @@ class RunTraceBuffer {
  public:
   /// `drop_counter`, when set, counts spans evicted from the full ring
   /// (no-silent-caps: qon_trace_spans_dropped_total in the registry).
-  RunTraceBuffer(api::RunId run, std::size_t capacity,
-                 Counter* drop_counter = nullptr);
+  explicit RunTraceBuffer(std::size_t capacity, Counter* drop_counter = nullptr);
 
   /// Appends a span, dropping the oldest once `capacity` is exceeded.
   void record(api::TraceSpan span);
 
-  /// The retained spans in record order, plus the drop accounting.
-  api::RunTrace snapshot() const;
-
-  api::RunId run() const { return run_; }
+  /// The retained spans of run `run` in record order, plus the drop
+  /// accounting. The buffer does not know its run; the caller passes the
+  /// id from the run record.
+  api::RunTrace snapshot(api::RunId run) const;
 
  private:
-  const api::RunId run_;
   const std::size_t capacity_;
   Counter* const drop_counter_;  ///< null = uncounted (standalone buffers)
   mutable Mutex mutex_{LockRank::kTraceBuffer, "RunTraceBuffer::mutex_"};
@@ -67,33 +62,30 @@ class RunTraceBuffer {
   std::uint64_t recorded_ GUARDED_BY(mutex_) = 0;
 };
 
-/// Carried on RunContinuation / PendingQuantumTask; null = tracing off.
+/// Carried on api::RunState / PendingQuantumTask; null = tracing off.
 using TraceContext = std::shared_ptr<RunTraceBuffer>;
 
 /// Invoked with a finished run's trace at settle time (outside all locks).
 using TraceSink = std::function<void(const api::RunTrace&)>;
 
-/// Owns every live trace buffer and the bounded retention window.
+/// Creates trace buffers and stamps spans; holds no per-run state.
 class Tracer {
  public:
-  /// Retains at most `max_runs` traces (oldest-started evicted first);
-  /// each ring holds `spans_per_run` spans. `sink`, when set, receives each
-  /// finished run's trace from finalize(). `span_drop_counter`, when set,
-  /// counts ring-evicted spans across every buffer this tracer creates.
-  Tracer(std::size_t max_runs, std::size_t spans_per_run, TraceSink sink = nullptr,
-         Counter* span_drop_counter = nullptr);
+  /// Span-ring capacity of every buffer start() creates; older spans drop
+  /// once a run records more.
+  static constexpr std::size_t kSpansPerRun = 128;
 
-  /// Creates + registers the buffer for `run`, evicting the oldest trace
-  /// beyond the retention bound (an evicted in-flight run keeps recording
-  /// into its buffer through the shared_ptr; only the lookup is gone).
-  TraceContext start(api::RunId run);
+  /// `sink`, when set, receives each finished run's trace from finalize().
+  /// `span_drop_counter`, when set, counts ring-evicted spans across every
+  /// buffer this tracer creates.
+  explicit Tracer(TraceSink sink = nullptr, Counter* span_drop_counter = nullptr);
 
-  /// Feeds the finished trace to the sink (if configured). The trace stays
-  /// queryable until evicted by later start() calls.
-  void finalize(const TraceContext& trace) const;
+  /// A fresh buffer for one run. The caller stores it on the run record,
+  /// which is its only owner besides in-flight recorders.
+  TraceContext start() const;
 
-  /// The retained trace of `run`; kNotFound for unknown / evicted ids.
-  api::Result<api::RunTrace> trace(api::RunId run) const;
+  /// Feeds run `run`'s finished trace to the sink (if configured).
+  void finalize(api::RunId run, const TraceContext& trace) const;
 
   /// Wall clock in µs since this tracer was constructed (steady).
   double wall_now_us() const {
@@ -111,15 +103,9 @@ class Tracer {
                       double wall_start_us, std::string detail = "") const;
 
  private:
-  const std::size_t max_runs_;
-  const std::size_t spans_per_run_;
   const TraceSink sink_;
   Counter* const span_drop_counter_;
   const std::chrono::steady_clock::time_point epoch_;
-
-  mutable Mutex mutex_{LockRank::kTracer, "Tracer::mutex_"};
-  std::unordered_map<api::RunId, TraceContext> traces_ GUARDED_BY(mutex_);
-  std::deque<api::RunId> order_ GUARDED_BY(mutex_);  ///< start order, oldest first
 };
 
 }  // namespace qon::obs

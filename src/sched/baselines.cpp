@@ -15,10 +15,6 @@ bool feasible(const QuantumJob& job, const QpuState& qpu, std::size_t q) {
 
 std::vector<int> assign_best_fidelity_fcfs(const SchedulingInput& input) {
   std::vector<int> assignment(input.jobs.size(), -1);
-  std::vector<double> waits;
-  waits.reserve(input.qpus.size());
-  for (const auto& q : input.qpus) waits.push_back(q.queue_wait_seconds);
-
   for (std::size_t j = 0; j < input.jobs.size(); ++j) {
     const auto& job = input.jobs[j];
     int best = -1;
@@ -31,7 +27,6 @@ std::vector<int> assign_best_fidelity_fcfs(const SchedulingInput& input) {
       }
     }
     assignment[j] = best;
-    if (best >= 0) waits[static_cast<std::size_t>(best)] += job.est_exec_seconds[static_cast<std::size_t>(best)];
   }
   return assignment;
 }

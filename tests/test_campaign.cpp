@@ -600,12 +600,14 @@ void wait_settled(const std::shared_ptr<core::PendingQuantumTask>& task) {
 }
 
 TEST(CampaignDropCounters, TraceSpanRingOverflowIsCounted) {
-  obs::TelemetryConfig config;
-  config.trace_spans_per_run = 1;
-  obs::Telemetry telemetry(config);
-  const obs::TraceContext trace = telemetry.tracer().start(1);
+  obs::Telemetry telemetry;
+  // A one-span ring on the registry's drop counter (registration is
+  // idempotent, so this is the counter every traced run's ring feeds).
+  obs::RunTraceBuffer trace(
+      1, telemetry.registry().counter("qon_trace_spans_dropped_total",
+                                      "Trace spans dropped from full per-run rings"));
   for (int i = 0; i < 3; ++i) {
-    trace->record(telemetry.tracer().point("p", static_cast<double>(i)));
+    trace.record(telemetry.tracer().point("p", static_cast<double>(i)));
   }
   const api::MetricsSnapshot snapshot = telemetry.snapshot(0.0);
   const api::MetricValue* dropped =

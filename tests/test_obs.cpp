@@ -1,9 +1,10 @@
 // Tests for the telemetry subsystem (src/obs/): metrics-registry instrument
 // semantics (Prometheus le-inclusive histogram buckets, counter/gauge
-// concurrency, idempotent registration), trace ring wraparound and tracer
-// retention, the Prometheus/JSON renderers, the end-to-end run-lifecycle
-// trace surface (both clocks on every span), the getRunTrace error
-// contract, and the stats-surface coherence guarantee:
+// concurrency, idempotent registration), trace ring wraparound, the
+// Prometheus/JSON renderers, the end-to-end run-lifecycle trace surface
+// (both clocks on every span), the getRunTrace error contract and its
+// retention (a trace answers exactly while getRun does), and the
+// stats-surface coherence guarantee:
 // getSchedulerStats / getAdmissionStats / prepCacheHits are views over the
 // same registry instruments one getMetrics snapshot exports.
 
@@ -14,6 +15,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -110,14 +112,14 @@ TEST(ObsMetrics, RegistrationIsIdempotentPerLabelSet) {
 // ---- RunTraceBuffer: bounded ring with drop accounting -----------------------
 
 TEST(ObsTrace, RingWrapsAndCountsDrops) {
-  obs::RunTraceBuffer buffer(42, 4);
+  obs::RunTraceBuffer buffer(4);
   for (int i = 0; i < 10; ++i) {
     api::TraceSpan span;
     span.name = "span-" + std::to_string(i);
     span.virtual_start = span.virtual_end = static_cast<double>(i);
     buffer.record(std::move(span));
   }
-  const api::RunTrace trace = buffer.snapshot();
+  const api::RunTrace trace = buffer.snapshot(42);
   EXPECT_EQ(trace.run, 42u);
   ASSERT_EQ(trace.spans.size(), 4u);
   EXPECT_EQ(trace.recorded, 10u);
@@ -127,25 +129,14 @@ TEST(ObsTrace, RingWrapsAndCountsDrops) {
   EXPECT_EQ(trace.spans.back().name, "span-9");
 }
 
-TEST(ObsTrace, TracerEvictsOldestBeyondRetention) {
-  obs::Tracer tracer(/*max_runs=*/2, /*spans_per_run=*/8);
-  tracer.start(1);
-  tracer.start(2);
-  tracer.start(3);  // evicts run 1
-  EXPECT_EQ(tracer.trace(1).status().code(), api::StatusCode::kNotFound);
-  EXPECT_TRUE(tracer.trace(2).ok());
-  EXPECT_TRUE(tracer.trace(3).ok());
-  EXPECT_EQ(tracer.trace(99).status().code(), api::StatusCode::kNotFound);
-}
-
-TEST(ObsTrace, FinalizeFeedsSinkOutsideTheMapLock) {
+TEST(ObsTrace, FinalizeFeedsSinkWithTheRecordsRunId) {
   std::vector<api::RunTrace> finished;
-  obs::Tracer tracer(4, 8, [&finished](const api::RunTrace& trace) {
+  obs::Tracer tracer([&finished](const api::RunTrace& trace) {
     finished.push_back(trace);
   });
-  const obs::TraceContext trace = tracer.start(7);
+  const obs::TraceContext trace = tracer.start();
   trace->record(tracer.point("submit", 0.0));
-  tracer.finalize(trace);
+  tracer.finalize(7, trace);
   ASSERT_EQ(finished.size(), 1u);
   EXPECT_EQ(finished[0].run, 7u);
   ASSERT_EQ(finished[0].spans.size(), 1u);
@@ -276,7 +267,7 @@ TEST(ObsEndToEnd, GetRunTraceErrorContract) {
   config.num_qpus = 2;
   config.seed = 13;
   config.trajectory_width_limit = 0;
-  config.telemetry.trace_runs = 1;  // retention window of a single run
+  config.retention.max_terminal_runs = 1;  // retention window of a single run
   config.scheduler_service.queue_threshold = 1;
   config.scheduler_service.linger = 5ms;
   api::QonductorClient client(config);
@@ -317,6 +308,111 @@ TEST(ObsEndToEnd, GetRunTraceErrorContract) {
   off_trace.run = off_handle->id();
   EXPECT_EQ(off.getRunTrace(off_trace).status().code(),
             api::StatusCode::kFailedPrecondition);
+}
+
+workflow::ImageId deploy_classical(api::QonductorClient& client, const std::string& name) {
+  api::CreateWorkflowRequest create;
+  create.name = name;
+  create.tasks.push_back(workflow::HybridTask::classical("cpu", 0.1));
+  auto created = client.createWorkflow(std::move(create));
+  EXPECT_TRUE(created.ok()) << created.status().to_string();
+  api::DeployRequest deploy;
+  deploy.image = created->image;
+  auto deployed = client.deploy(deploy);
+  EXPECT_TRUE(deployed.ok()) << deployed.status().to_string();
+  return created->image;
+}
+
+/// "<getRun code> / <getRunTrace code>" for one run id.
+std::string query_codes(api::QonductorClient& client, api::RunId run) {
+  api::GetRunTraceRequest request;
+  request.run = run;
+  return std::string(api::status_code_name(client.getRun(run).status().code())) + " / " +
+         api::status_code_name(client.getRunTrace(request).status().code());
+}
+
+TEST(ObsEndToEnd, GetRunTraceFollowsRunRetention) {
+  const std::string found = "OK / OK";
+  const std::string gone = "NOT_FOUND / NOT_FOUND";
+  core::QonductorConfig base;
+  base.num_qpus = 2;
+  base.seed = 17;
+  base.trajectory_width_limit = 0;
+  base.scheduler_service.queue_threshold = 1;
+  base.scheduler_service.linger = 5ms;
+
+  {
+    // A run the engine refuses at shutdown is retracted from the run
+    // table; its trace goes with it.
+    api::QonductorClient client(base);
+    api::InvokeRequest request;
+    request.image = deploy_classical(client, "shutdown");
+    auto done = client.invoke(request);
+    ASSERT_TRUE(done.ok());
+    ASSERT_EQ(done->wait(), api::RunStatus::kCompleted);
+    client.backend().shutdown();
+    ASSERT_EQ(client.invoke(request).status().code(), api::StatusCode::kUnavailable);
+    EXPECT_EQ(query_codes(client, done->id()), found);
+    EXPECT_EQ(query_codes(client, done->id() + 1), gone);  // the rejected run
+  }
+  {
+    // A terminal run past its TTL is evicted from both surfaces at once.
+    auto now = std::make_shared<std::atomic<double>>(0.0);
+    core::QonductorConfig config = base;
+    config.retention.terminal_ttl_seconds = 10.0;
+    config.retention.clock = [now] { return now->load(); };
+    api::QonductorClient client(config);
+    api::InvokeRequest request;
+    request.image = deploy_classical(client, "ttl");
+    auto run = client.invoke(request);
+    ASSERT_TRUE(run.ok());
+    ASSERT_EQ(run->wait(), api::RunStatus::kCompleted);
+    EXPECT_EQ(query_codes(client, run->id()), found);
+    now->store(11.0);
+    EXPECT_EQ(query_codes(client, run->id()), gone);
+  }
+  {
+    // An in-flight run is pinned no matter how many terminal runs churn
+    // past the retention bound: its quantum task stays parked (threshold
+    // never reached, linger far away) until the test cancels it.
+    core::QonductorConfig config = base;
+    config.retention.max_terminal_runs = 1;
+    config.scheduler_service.queue_threshold = 64;
+    config.scheduler_service.linger = 60s;
+    api::QonductorClient client(config);
+    api::InvokeRequest quantum;
+    quantum.image = deploy_quantum(client, "parked");
+    api::InvokeRequest classical;
+    classical.image = deploy_classical(client, "churn");
+    auto parked = client.invoke(quantum);
+    ASSERT_TRUE(parked.ok());
+    api::GetRunTraceRequest parked_trace;
+    parked_trace.run = parked->id();
+    const auto give_up = std::chrono::steady_clock::now() + 10s;
+    for (;;) {
+      auto trace = client.getRunTrace(parked_trace);
+      ASSERT_TRUE(trace.ok()) << trace.status().to_string();
+      if (span_index(trace->trace, "park") >= 0) break;
+      ASSERT_LT(std::chrono::steady_clock::now(), give_up) << "run never parked";
+      std::this_thread::sleep_for(1ms);
+    }
+    std::vector<api::RunId> churned;
+    for (int i = 0; i < 3; ++i) {
+      auto run = client.invoke(classical);
+      ASSERT_TRUE(run.ok());
+      ASSERT_EQ(run->wait(), api::RunStatus::kCompleted);
+      churned.push_back(run->id());
+    }
+    EXPECT_EQ(query_codes(client, churned[0]), gone);
+    EXPECT_EQ(query_codes(client, churned[1]), gone);
+    EXPECT_EQ(query_codes(client, churned[2]), found);
+    EXPECT_EQ(query_codes(client, parked->id()), found);
+    auto trace = client.getRunTrace(parked_trace);
+    ASSERT_TRUE(trace.ok());
+    EXPECT_EQ(span_index(trace->trace, "settle"), -1);  // still in flight
+    ASSERT_TRUE(parked->cancel());
+    EXPECT_EQ(parked->wait(), api::RunStatus::kCancelled);
+  }
 }
 
 // ---- stats surfaces as registry views ----------------------------------------
